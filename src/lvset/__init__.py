@@ -28,9 +28,9 @@ from .qreals import (ProbabilityResult, QReal, StateVector, born_probability,
                      truth_leq)
 from .universe import (EvalSession, QSet, UniverseFragment, check_embed,
                        empty_qset, enumerate_fragment, fragment_from_json,
-                       fragment_to_json, make_qset, predicted_fragment_size,
-                       qsets_from_json, qsets_to_json, truth_equality,
-                       truth_membership)
+                       fragment_to_json, make_qset, numerals,
+                       predicted_fragment_size, qsets_from_json, qsets_to_json,
+                       truth_equality, truth_membership)
 from .verification import (CATALOG, CATALOG_BY_NAME, CheckReport, Schema,
                            SuiteReport, TheoremInstance, ViolationWitness,
                            check_scott_solovay, check_transfer,

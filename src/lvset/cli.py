@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import verification as vf
-from .exactnum import parse_entry
+from .exactnum import ONE, ZERO, parse_entry
 from .formula import FormulaError, eval_formula, free_variables, parse
 from .formula import Environment
 from .lattice import (BooleanLattice, Lattice, LatticeError, ProjectionLattice,
@@ -30,7 +30,7 @@ from .qreals import (ProbabilityResult, StateVector, born_probability,
                      observational_atom, prob_equal)
 from .universe import (QSet, UniverseFragment, empty_qset, enumerate_fragment,
                        fragment_from_json, fragment_to_json, make_qset,
-                       qsets_from_json, qsets_to_json)
+                       numerals, qsets_from_json, qsets_to_json)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -214,18 +214,6 @@ def parse_set_literal(text: str, lattice: Lattice, ws: Workspace) -> QSet:
     return make_qset(lattice, entries)
 
 
-def check_set(lattice: Lattice, n: int) -> QSet:
-    """The canonical copy of the von Neumann numeral n: every membership
-    value is 1 and every stage is present."""
-    if n < 0:
-        raise UsageError("check sets are defined for nonnegative integers")
-    top = lattice.top()
-    numerals = []
-    for _ in range(n + 1):
-        numerals.append(make_qset(lattice, tuple((m, top) for m in numerals)))
-    return numerals[n]
-
-
 # ---------------------------------------------------------- subcommands
 
 def cmd_lattice(args) -> int:
@@ -258,7 +246,9 @@ def cmd_set(args) -> int:
     if args.empty:
         q = empty_qset(lattice)
     elif args.check is not None:
-        q = check_set(lattice, args.check)
+        if args.check < 0:
+            raise UsageError("check sets are defined for nonnegative integers")
+        q = numerals(lattice, args.check + 1)[args.check]
     elif args.literal is not None:
         q = parse_set_literal(args.literal, lattice, ws)
     else:
@@ -286,21 +276,11 @@ def _diag_spectral(text: str) -> SpectralData:
         vecs = []
         for i, x in enumerate(values):
             if x == v:
-                basis = [_gq_zero() for _ in range(dim)]
-                basis[i] = _gq_one()
+                basis = [ZERO] * dim
+                basis[i] = ONE
                 vecs.append(tuple(basis))
         eigen.append((v, proj_from_span(vecs, dim)))
     return SpectralData(dim=dim, eigen=tuple(eigen))
-
-
-def _gq_one():
-    from .exactnum import ONE
-    return ONE
-
-
-def _gq_zero():
-    from .exactnum import ZERO
-    return ZERO
 
 
 def cmd_obs(args) -> int:

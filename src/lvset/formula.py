@@ -32,7 +32,7 @@ convention of this toolkit, and checkers avoid -> in core forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator, Optional
 
 from .lattice import LatticeError
@@ -131,6 +131,21 @@ class Exists:
 
 CORE_NODES = (Eq, In, Not, And, ForallIn, Forall)
 SUGAR_NODES = (Or, Implies, ExistsIn, Exists)
+
+# The JSON name of each node kind. A node's JSON keys are its dataclass
+# fields (span aside): the name fields hold strings, every other field a
+# child node.
+_NODE_NAMES = {Var: "var", Eq: "eq", In: "in", Not: "not", And: "and", Or: "or",
+              Implies: "implies", ForallIn: "forall_in", ExistsIn: "exists_in",
+              Forall: "forall", Exists: "exists"}
+_NODE_CLASSES = {name: cls for cls, name in _NODE_NAMES.items()}
+_FIELDS = {cls: tuple(f.name for f in fields(cls) if f.name != "span") for cls in _NODE_NAMES}
+_NAME_FIELDS = ("name", "var")
+
+
+def children(node) -> tuple:
+    """The child nodes of a formula node, in field order."""
+    return tuple(getattr(node, f) for f in _FIELDS[type(node)] if f not in _NAME_FIELDS)
 
 
 # -------------------------------------------------------------------- lexer
@@ -402,19 +417,7 @@ def desugar(node, trace: Optional[list] = None):
 
 
 def is_core(node) -> bool:
-    if isinstance(node, Var):
-        return True
-    if isinstance(node, (Eq, In)):
-        return True
-    if isinstance(node, Not):
-        return is_core(node.body)
-    if isinstance(node, And):
-        return is_core(node.left) and is_core(node.right)
-    if isinstance(node, ForallIn):
-        return is_core(node.body)
-    if isinstance(node, Forall):
-        return is_core(node.body)
-    return False
+    return isinstance(node, (Var, *CORE_NODES)) and all(is_core(c) for c in children(node))
 
 
 def free_variables(node, bound=frozenset()) -> set:
@@ -492,30 +495,22 @@ def eval_implies(antecedent, consequent, env: Environment,
 def _eval(node, env: Environment, trace):
     lat = env.lattice
     if isinstance(node, Eq):
-        out = env.session.truth_equality(env.resolve(node.left), env.resolve(node.right))
-        _note(trace, "R9", node, lat.element_repr(out))
-        return out
-    if isinstance(node, In):
-        out = env.session.truth_membership(env.resolve(node.left), env.resolve(node.right))
-        _note(trace, "R8", node, lat.element_repr(out))
-        return out
-    if isinstance(node, Not):
-        out = lat.ortho(_eval(node.body, env, trace))
-        _note(trace, "R1", node, lat.element_repr(out))
-        return out
-    if isinstance(node, And):
-        out = lat.meet(_eval(node.left, env, trace), _eval(node.right, env, trace))
-        _note(trace, "R2", node, lat.element_repr(out))
-        return out
-    if isinstance(node, ForallIn):
+        rule, out = "R9", env.session.truth_equality(env.resolve(node.left),
+                                                     env.resolve(node.right))
+    elif isinstance(node, In):
+        rule, out = "R8", env.session.truth_membership(env.resolve(node.left),
+                                                       env.resolve(node.right))
+    elif isinstance(node, Not):
+        rule, out = "R1", lat.ortho(_eval(node.body, env, trace))
+    elif isinstance(node, And):
+        rule, out = "R2", lat.meet(_eval(node.left, env, trace), _eval(node.right, env, trace))
+    elif isinstance(node, ForallIn):
         u = env.resolve(node.bound)
-        out = lat.big_meet(
+        rule, out = "R3", lat.big_meet(
             lat.sasaki_arrow(value, _eval(node.body, env.bound(node.var, x), trace))
             for x, value in u.entries
         )
-        _note(trace, "R3", node, lat.element_repr(out))
-        return out
-    if isinstance(node, Forall):
+    elif isinstance(node, Forall):
         if env.fragment is None:
             raise FormulaError(
                 "unbounded quantifier needs an ambient fragment in the environment")
@@ -523,13 +518,15 @@ def _eval(node, env: Environment, trace):
                    f"fragment (truncation of the full universe)")
         if message not in env.notes:
             env.notes.append(message)
-        out = lat.big_meet(
+        rule, out = "R4", lat.big_meet(
             _eval(node.body, env.bound(node.var, m), trace)
             for m in env.fragment
         )
-        _note(trace, "R4", node, lat.element_repr(out))
-        return out
-    raise FormulaError(f"cannot evaluate {type(node).__name__} (not a core node)")
+    else:
+        raise FormulaError(f"cannot evaluate {type(node).__name__} (not a core node)")
+    if trace is not None:  # element_repr can cost a row reduction
+        _note(trace, rule, node, lat.element_repr(out))
+    return out
 
 
 def _note(trace, rule: str, node, result: str):
@@ -540,43 +537,20 @@ def _note(trace, rule: str, node, result: str):
 # ----------------------------------------------------------------- AST JSON
 
 def formula_to_json(node) -> dict:
-    if isinstance(node, Var):
-        return {"node": "var", "name": node.name}
-    if isinstance(node, (Eq, In)):
-        return {"node": "eq" if isinstance(node, Eq) else "in",
-                "left": formula_to_json(node.left), "right": formula_to_json(node.right)}
-    if isinstance(node, Not):
-        return {"node": "not", "body": formula_to_json(node.body)}
-    if isinstance(node, (And, Or, Implies)):
-        name = {And: "and", Or: "or", Implies: "implies"}[type(node)]
-        return {"node": name, "left": formula_to_json(node.left),
-                "right": formula_to_json(node.right)}
-    if isinstance(node, (ForallIn, ExistsIn)):
-        name = "forall_in" if isinstance(node, ForallIn) else "exists_in"
-        return {"node": name, "var": node.var, "bound": formula_to_json(node.bound),
-                "body": formula_to_json(node.body)}
-    if isinstance(node, (Forall, Exists)):
-        name = "forall" if isinstance(node, Forall) else "exists"
-        return {"node": name, "var": node.var, "body": formula_to_json(node.body)}
-    raise FormulaError(f"cannot serialize {type(node).__name__}")
+    name = _NODE_NAMES.get(type(node))
+    if name is None:
+        raise FormulaError(f"cannot serialize {type(node).__name__}")
+    doc = {"node": name}
+    for f in _FIELDS[type(node)]:
+        value = getattr(node, f)
+        doc[f] = value if f in _NAME_FIELDS else formula_to_json(value)
+    return doc
 
 
 def formula_from_json(doc: dict):
     kind = doc["node"]
-    if kind == "var":
-        return Var(doc["name"])
-    if kind in ("eq", "in"):
-        cls = Eq if kind == "eq" else In
-        return cls(formula_from_json(doc["left"]), formula_from_json(doc["right"]))
-    if kind == "not":
-        return Not(formula_from_json(doc["body"]))
-    if kind in ("and", "or", "implies"):
-        cls = {"and": And, "or": Or, "implies": Implies}[kind]
-        return cls(formula_from_json(doc["left"]), formula_from_json(doc["right"]))
-    if kind in ("forall_in", "exists_in"):
-        cls = ForallIn if kind == "forall_in" else ExistsIn
-        return cls(doc["var"], formula_from_json(doc["bound"]), formula_from_json(doc["body"]))
-    if kind in ("forall", "exists"):
-        cls = Forall if kind == "forall" else Exists
-        return cls(doc["var"], formula_from_json(doc["body"]))
-    raise FormulaError(f"unknown formula node kind {kind!r}")
+    cls = _NODE_CLASSES.get(kind)
+    if cls is None:
+        raise FormulaError(f"unknown formula node kind {kind!r}")
+    return cls(*(doc[f] if f in _NAME_FIELDS else formula_from_json(doc[f])
+                 for f in _FIELDS[cls]))

@@ -26,7 +26,7 @@ from .exactnum import GQ, format_rational, parse_entry, format_entry
 from .formula import Environment, eval_formula, parse
 from .lattice import Lattice, LatticeError, ProjectionLattice
 from .projections import Projection, SpectralData
-from .universe import check_embed, make_qset
+from .universe import make_qset, numerals
 
 DECIMAL_NORM_TOLERANCE = 1e-9
 
@@ -55,11 +55,7 @@ class QReal:
                 raise LatticeError("cuts must be monotone along the grid")
         if self.cuts[-1] != lat.top():
             raise LatticeError("the last cut must be the whole space")
-        n = len(self.cuts)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if not lat.commutes(self.cuts[i], self.cuts[j]):
-                    raise LatticeError("cuts must pairwise commute")
+        # monotone cuts commute pairwise: P ≤ Q gives QP = P, and its adjoint PQ = P
 
     def cut(self, r) -> object:
         r = Fraction(r)
@@ -276,21 +272,13 @@ def classical_equal_value_probability(a: SpectralData, b: SpectralData,
 
 # --------------------------------------- the real-number predicate R(x)
 
-def _numeral_lists(n: int) -> list:
-    """Nested-list von Neumann numerals 0..n-1."""
-    out: list = []
-    for _ in range(n):
-        out.append(list(out))
-    return out
-
-
 def qreal_as_qset(q: QReal):
     """Encode the cut as a lattice-valued set over numeral check-sets:
     u(ǩ) = E(grid[k]), so [[ǩ ∈ u]] = E(grid[k]) exactly."""
     lattice = q.lattice
-    numerals = [check_embed(lst, lattice) for lst in _numeral_lists(len(q.grid))]
-    u = make_qset(lattice, [(num, cut) for num, cut in zip(numerals, q.cuts)])
-    return u, numerals
+    nums = numerals(lattice, len(q.grid))
+    u = make_qset(lattice, list(zip(nums, q.cuts)))
+    return u, nums
 
 
 def real_predicate_truth(q: QReal):

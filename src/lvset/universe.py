@@ -115,6 +115,16 @@ def check_embed(a, lattice: Lattice, max_depth: int = DEFAULT_EMBED_DEPTH) -> QS
     return build(a, 0)
 
 
+def numerals(lattice: Lattice, n: int) -> list:
+    """Check-sets of the von Neumann numerals 0..n-1; each numeral's members
+    are the earlier numerals, at value 1."""
+    top = lattice.top()
+    out: list = []
+    for _ in range(n):
+        out.append(make_qset(lattice, tuple((m, top) for m in out)))
+    return out
+
+
 class EvalSession:
     """Memoized truth-value computation over one lattice.
 

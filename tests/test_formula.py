@@ -230,6 +230,36 @@ def test_formula_json_round_trip():
         formula_from_json({"node": "nonsense"})
 
 
+def test_formula_json_exact_encoding():
+    # one formula with all eleven node kinds, pinned key by key so a renamed
+    # node name or field cannot hide behind a round trip
+    node = parse("forall x . exists y . forall z in x . exists w in y . "
+                 "(~(z = w) & z in y | w in x -> x = y)")
+    x, y, z, w = ({"node": "var", "name": n} for n in "xyzw")
+    assert formula_to_json(node) == {
+        "node": "forall", "var": "x", "body": {
+            "node": "exists", "var": "y", "body": {
+                "node": "forall_in", "var": "z", "bound": x, "body": {
+                    "node": "exists_in", "var": "w", "bound": y, "body": {
+                        "node": "implies",
+                        "left": {
+                            "node": "or",
+                            "left": {
+                                "node": "and",
+                                "left": {"node": "not",
+                                         "body": {"node": "eq", "left": z, "right": w}},
+                                "right": {"node": "in", "left": z, "right": y},
+                            },
+                            "right": {"node": "in", "left": w, "right": x},
+                        },
+                        "right": {"node": "eq", "left": x, "right": y},
+                    },
+                },
+            },
+        },
+    }
+
+
 def test_non_contradiction_instances_hold_everywhere():
     # concrete instances of ~(phi & ~phi) evaluate to 1 in both lattice kinds
     lat = BooleanLattice(2)

@@ -75,6 +75,11 @@ def test_projection_lattice_sasaki_examples():
     assert lat.sasaki_arrow(p, lat.top()) == lat.top()
     assert not lat.commutes(p, q)
     assert lat.commutes(p, lat.ortho(p))
+    # a generic random pair of rank-1 projections does not commute either
+    from lvset.generators import random_projection
+    rng = random.Random(7)
+    r, s = (random_projection(rng, 2, rank=1) for _ in range(2))
+    assert not lat.commutes(r, s)
 
 
 def test_big_meet_big_join_empty_and_order():

@@ -65,6 +65,18 @@ def test_qreal_from_spectral_cuts():
         q.cut(7)
 
 
+def test_spectral_cuts_commute_pairwise():
+    # QReal does not test commutation itself: its monotone cuts commute
+    rng = random.Random(11)
+    for dim in (2, 3, 4):
+        for _ in range(4):
+            sd = random_spectral_data(rng, dim, n_eigenvalues=dim)
+            cuts = qreal_from_spectral(sd, sd.eigenvalues()).cuts
+            for i, p in enumerate(cuts):
+                for q in cuts[i + 1:]:
+                    assert p.commutes_with(q) and q.commutes_with(p)
+
+
 def test_refinement_is_exact():
     sd = diag_observable([1, 3])
     q = qreal_from_spectral(sd, [1, 3])

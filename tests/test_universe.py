@@ -12,7 +12,7 @@ from lvset.projections import proj_from_span
 from lvset.universe import (EvalSession, QSet, UniverseFragment, check_embed,
                             empty_qset, enumerate_fragment,
                             fragment_from_json, fragment_to_json, make_qset,
-                            predicted_fragment_size, qsets_from_json,
+                            numerals, predicted_fragment_size, qsets_from_json,
                             qsets_to_json, truth_equality, truth_membership)
 
 TWO = BooleanLattice(1)
@@ -154,6 +154,20 @@ def test_check_embed_shapes():
     assert id(two.entries[0][0]) in inner_handles or two.entries[0][0] is two.entries[1][0].domain()[0]
     with pytest.raises(LatticeError):
         check_embed("not a set", lat)
+
+
+def test_numerals_equal_nested_list_check_sets():
+    nested: list = []
+    for _ in range(5):
+        nested.append(list(nested))
+    for lat in (FOUR, ProjectionLattice(2)):
+        nums = numerals(lat, 5)
+        session = EvalSession(lat)
+        for k, num in enumerate(nums):
+            assert session.truth_equality(num, check_embed(nested[k], lat)) == lat.top()
+            assert [m for m, _ in num.entries] == nums[:k]
+        assert nums[4].rank == 5
+    assert numerals(FOUR, 0) == []
 
 
 def test_check_embed_truths_match_set_theory():
