@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -42,8 +43,51 @@ class UsageError(Exception):
     """Bad arguments or unresolved names; exits with code 2."""
 
 
+class DataError(Exception):
+    """A file that does not hold a valid document; exits with code 4."""
+
+
 def _dumps(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(", ", ": "))
+
+
+def _read_document(path: str, what: str, build):
+    """Decode the JSON file at `path` and build it with `build`.
+
+    Invalid JSON and documents of the wrong shape (a missing key, a value of
+    the wrong type or an entry that does not parse) raise DataError naming
+    the file; LatticeError from the builder passes through unchanged.
+    """
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise DataError(f"{what} file {path}: not valid JSON: {exc}") from None
+    try:
+        return build(doc)
+    except KeyError as exc:
+        raise DataError(f"{what} file {path}: missing key {exc}") from None
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        raise DataError(f"{what} file {path}: malformed document: {exc}") from None
+
+
+def _write_atomic(path: str, text: str) -> None:
+    """Replace the file at `path` by `text` in one step.
+
+    The text goes to a temporary file in the same directory, which is
+    flushed to disk and renamed over the target, so a failure at any point
+    leaves the old file whole.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "x") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 # ------------------------------------------------------------- workspace
@@ -136,14 +180,11 @@ class Workspace:
         return ws
 
     def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write(_dumps(self.to_json()))
-            fh.write("\n")
+        _write_atomic(path, _dumps(self.to_json()) + "\n")
 
     @classmethod
     def load(cls, path: str) -> "Workspace":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
+        return _read_document(path, "session", cls.from_json)
 
 
 def _load_workspace(args) -> Workspace:
@@ -252,9 +293,8 @@ def cmd_set(args) -> int:
     elif args.literal is not None:
         q = parse_set_literal(args.literal, lattice, ws)
     else:
-        with open(args.file) as fh:
-            doc = json.load(fh)
-        _, roots = qsets_from_json(doc, lattice)
+        _, roots = _read_document(args.file, "set",
+                                  lambda doc: qsets_from_json(doc, lattice))
         if len(roots) != 1:
             raise LatticeError("set file must contain exactly one root")
         q = roots[0]
@@ -290,8 +330,7 @@ def cmd_obs(args) -> int:
     if args.diag is not None:
         sd = _diag_spectral(args.diag)
     else:
-        with open(args.file) as fh:
-            sd = spectral_from_json(json.load(fh))
+        sd = _read_document(args.file, "spectral", spectral_from_json)
     ws.observables[args.name] = sd
     _save_workspace(ws, args)
     eigenvals = [str(v) for v in sd.eigenvalues()]
@@ -313,8 +352,7 @@ def cmd_state(args) -> int:
         else:
             st = StateVector([parse_entry(p) for p in parts], exact=True)
     else:
-        with open(args.file) as fh:
-            st = StateVector.from_json(json.load(fh))
+        st = _read_document(args.file, "state", StateVector.from_json)
     ws.states[args.name] = st
     _save_workspace(ws, args)
     mode = "exact" if st.exact else "decimal"
@@ -408,9 +446,7 @@ def cmd_eval(args) -> int:
 
 def _report_out(args, doc: dict) -> None:
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(_dumps(doc))
-            fh.write("\n")
+        _write_atomic(args.out, _dumps(doc) + "\n")
 
 
 def _check_laws(args, ws: Workspace) -> int:
@@ -652,7 +688,7 @@ def main(argv: Optional[list] = None) -> int:
     except FormulaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except LatticeError as exc:
+    except (LatticeError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:

@@ -1,8 +1,9 @@
 """Exact linear algebra over Gaussian rationals.
 
-Matrices are immutable tuples of row tuples of GaussianRational. Everything
-here is fraction-free in spirit but plain in implementation: small dense
-matrices (desk scale is dimension <= 8ish), exactness over speed.
+Matrices are immutable tuples of row tuples of GaussianRational. The
+algorithms are the plain ones for small dense matrices (desk scale is
+dimension <= 8ish): Gauss-Jordan row reduction with exact division, every
+step a GaussianRational operation on reduced integer triples.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         for col in bt:
             s = ZERO
             for x, y in zip(row, col):
-                if x.re or x.im:
+                if x:
                     s = s + x * y
             out_row.append(s)
         out.append(tuple(out_row))
@@ -63,7 +64,7 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
     for row in a:
         s = ZERO
         for x, y in zip(row, v):
-            if x.re or x.im:
+            if x:
                 s = s + x * y
         out.append(s)
     return tuple(out)

@@ -1,10 +1,15 @@
-"""Exact Gaussian-rational scalars: complex numbers with Fraction parts."""
+"""Exact Gaussian-rational scalars: (a + b*i)/d as one reduced integer triple.
+
+Arithmetic runs on Python ints and reduces each result once, so no Fraction
+objects are built on the hot path; `.re` and `.im` build Fractions on demand.
+"""
 
 from __future__ import annotations
 
 import re
 
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 RationalLike = Union[int, str, Fraction]
@@ -17,69 +22,119 @@ def _frac(x: RationalLike) -> Fraction:
 
 
 class GaussianRational:
-    """An exact complex scalar a + bi with rational a, b. Immutable."""
+    """An exact complex scalar a + bi with rational a, b. Immutable.
 
-    __slots__ = ("re", "im")
+    Stored as integers (a, b, d) meaning (a + b*i)/d, with d > 0 and
+    gcd(a, b, d) = 1; this canonical form makes equal values have equal
+    triples, so `==` and `hash` compare the triple.
+    """
+
+    __slots__ = ("_t",)
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        object.__setattr__(self, "re", _frac(re))
-        object.__setattr__(self, "im", _frac(im))
+        re, im = _frac(re), _frac(im)
+        # over the lcm of the two reduced denominators the triple is already coprime
+        d1, d2 = re.denominator, im.denominator
+        d = d1 // gcd(d1, d2) * d2
+        _set(self, (re.numerator * (d // d1), im.numerator * (d // d2), d))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("GaussianRational is immutable")
+
+    @property
+    def re(self) -> Fraction:
+        a, _, d = self._t
+        return Fraction(a, d)
+
+    @property
+    def im(self) -> Fraction:
+        _, b, d = self._t
+        return Fraction(b, d)
+
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        a1, b1, d1 = self._t
+        a2, b2, d2 = other._t
+        return _make(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
 
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        a1, b1, d1 = self._t
+        a2, b2, d2 = other._t
+        return _make(a1 * d2 - a2 * d1, b1 * d2 - b2 * d1, d1 * d2)
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        a, b, d = self._t
+        return _raw(-a, -b, d)
 
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a1, b1, d1 = self._t
+        a2, b2, d2 = other._t
+        return _make(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
 
     def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
+        a1, b1, d1 = self._t
+        a2, b2, d2 = other._t
+        n = a2 * a2 + b2 * b2
+        if n == 0:
             raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
-        )
+        # (a1 + b1 i)/d1 * d2 (a2 - b2 i)/(a2^2 + b2^2)
+        return _make((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, d1 * n)
 
     def conj(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        a, b, d = self._t
+        return _raw(a, -b, d)
 
     def abs_sq(self) -> Fraction:
         """|z|^2 as an exact Fraction."""
-        return self.re * self.re + self.im * self.im
+        a, b, d = self._t
+        return Fraction(a * a + b * b, d * d)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return self._t == _ZERO_TRIPLE
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GaussianRational):
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self._t == other._t
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash(self._t)
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return self._t != _ZERO_TRIPLE
 
     def __repr__(self):
-        if self.im == 0:
+        if self._t[1] == 0:
             return f"GQ({self.re})"
         return f"GQ({self.re}, {self.im})"
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        a, b, d = self._t
+        return complex(a / d, b / d)
+
+
+_ZERO_TRIPLE = (0, 0, 1)
+_set = GaussianRational._t.__set__
+_new = object.__new__
+
+
+def _raw(a: int, b: int, d: int) -> GaussianRational:
+    """A GaussianRational from a triple already in canonical form."""
+    z = _new(GaussianRational)
+    _set(z, (a, b, d))
+    return z
+
+
+def _make(a: int, b: int, d: int) -> GaussianRational:
+    """A GaussianRational from any triple with d > 0, reduced once."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    return _raw(a, b, d)
 
 
 GQ = GaussianRational

@@ -1,6 +1,9 @@
 """End-to-end CLI behavior: session files, outputs, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -327,3 +330,105 @@ def test_missing_session_file_starts_fresh(tmp_path, capsys):
     code, out, err = run(capsys, "check", "scott-solovay", "--fragment", "F",
                          "--session", session)
     assert code == 2
+
+
+def _one_line_error(err):
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert "Traceback" not in err
+    return lines[0]
+
+
+def test_malformed_documents_exit_4(tmp_path, capsys):
+    def write(name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+
+    bad_sessions = {
+        '{"lattices": {"B": {"kind": "boolean"}}}': "missing key 'atoms'",
+        '["not", "a", "session"]': "session file",
+        '{"sets": {"s": {"lattice_name": "B", "nodes": [{}], "roots": [0]}}}': "missing key",
+        '{"lattices": {"P": {"kind": "projection", "dim": 2}},'
+        ' "observables": {"A": {"dim": 2, "eigen": [{"value": "x/y", "proj": []}]}}}':
+            "malformed document",
+        '{"lattices": {"B": {"kind": "boolean", "atoms": 1}}': "not valid JSON",
+        '': "not valid JSON",
+    }
+    for text, fragment in bad_sessions.items():
+        session = write("bad-session.json", text)
+        code, out, err = run(capsys, "lattice", "list", "--boolean", "1",
+                             "--session", session)
+        assert code == 4, text
+        assert fragment in _one_line_error(err)
+        assert open(session).read() == text  # a failed load saves nothing
+
+    session = str(tmp_path / "session.json")
+    run(capsys, "lattice", "B", "--boolean", "2", "--session", session)
+    run(capsys, "lattice", "P", "--projection", "2", "--session", session)
+    bad_files = [
+        ("set", "--lattice", "B", '{"nodes": [], "roots": [0]}'),
+        ("set", "--lattice", "B", '{"nodes": [{"entries": [[0]]}], "roots": [0]}'),
+        ("set", "--lattice", "B", '{"nodes": '),
+        ("obs", None, None, '{"eigen": []}'),
+        ("obs", None, None, '{"dim": 2, "eigen": [{"value": "1", "proj": [["zebra"]]}]}'),
+        ("obs", None, None, '{dim: 2}'),
+        ("state", None, None, '{"kind": "exact"}'),
+        ("state", None, None, '{"kind": "exact", "entries": ["1", [1, 2, 3]]}'),
+        ("state", None, None, '[1, 0'),
+    ]
+    for command, flag, value, text in bad_files:
+        path = write(f"bad-{command}.json", text)
+        argv = [command, "x", "--file", path, "--session", session]
+        if flag:
+            argv += [flag, value]
+        code, out, err = run(capsys, *argv)
+        assert code == 4, (command, text)
+        assert path in _one_line_error(err)
+
+    # a literal on the command line is a usage error, not a file error
+    code, out, err = run(capsys, "set", "x", "--lattice", "P",
+                         "--literal", "{x: [[1, 0]", "--session", session)
+    assert code == 2
+
+
+@pytest.mark.parametrize("failing", ["serialize", "replace"])
+def test_writes_are_atomic(tmp_path, capsys, monkeypatch, failing):
+    session = str(tmp_path / "session.json")
+    report = str(tmp_path / "report.json")
+    run(capsys, "lattice", "B", "--boolean", "1", "--session", session)
+    code, _, _ = run(capsys, "check", "laws", "--lattice", "B", "--out", report,
+                     "--session", session)
+    assert code == 0
+    before = {p: open(p).read() for p in (session, report)}
+
+    def boom(*args, **kwargs):
+        raise OSError("disk gone")
+
+    if failing == "serialize":
+        monkeypatch.setattr(cli, "_dumps", boom)
+    else:
+        monkeypatch.setattr(cli.os, "replace", boom)
+    code, _, err = run(capsys, "lattice", "C", "--boolean", "2", "--session", session)
+    assert code == 4 and "disk gone" in err
+    code, _, err = run(capsys, "check", "laws", "--lattice", "B", "--out", report,
+                       "--session", session)
+    assert code == 4 and "disk gone" in err
+    assert {p: open(p).read() for p in (session, report)} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "session.json"]
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    session = str(tmp_path / "s.json")
+    done = subprocess.run([sys.executable, "-m", "lvset", "lattice", "B", "--boolean", "2",
+                           "--json", "--session", session],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"lattice": {"atoms": 2, "kind": "boolean"}, "name": "B"}
+    assert json.loads(open(session).read())["lattices"] == {"B": {"atoms": 2, "kind": "boolean"}}
+    done = subprocess.run([sys.executable, "-m", "lvset", "eval", "x = x"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 2
