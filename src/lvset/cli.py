@@ -657,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="random projections added to the law-check sample")
     p.add_argument("--triples", type=int, default=400,
                    help="distributivity triples tried in projection law checks")
-    p.add_argument("--cross-check", type=int, default=180,
+    p.add_argument("--cross-check", type=int, default=vf.DEFAULT_CROSS_CHECK,
                    help="sampled instances re-run through the generic evaluator")
     p.add_argument("--sample", type=int, default=None,
                    help="cap argument tuples per schema in the transfer suite")

@@ -169,9 +169,6 @@ class Span:
         self.rows.sort(key=lambda t: t[0])
         return True
 
-    def contains(self, v: Sequence[GQ]) -> bool:
-        return all(x.is_zero() for x in self._reduce(list(v)))
-
     def dim(self) -> int:
         return len(self.rows)
 
@@ -184,13 +181,6 @@ def independent_subset(vectors: Sequence[Vector]) -> list:
     """
     span = Span()
     return [v for v in vectors if span.add(v)]
-
-
-def in_span(v: Vector, basis: Sequence[Vector]) -> bool:
-    span = Span()
-    for b in basis:
-        span.add(b)
-    return span.contains(v)
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix:

@@ -33,9 +33,8 @@ convention of this toolkit, and checkers avoid -> in core forms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Iterator, Optional
+from typing import Optional
 
-from .lattice import LatticeError
 from .universe import EvalSession, QSet, UniverseFragment
 
 
@@ -481,15 +480,6 @@ def eval_formula(formula, env: Environment, trace: Optional[list] = None):
     if missing:
         raise FormulaError(f"unbound identifiers: {', '.join(sorted(missing))}")
     return _eval(core, env, trace)
-
-
-def eval_implies(antecedent, consequent, env: Environment,
-                 trace: Optional[list] = None):
-    """sasaki_arrow([[antecedent]], [[consequent]]); equals the desugared
-    '->' connective."""
-    a = eval_formula(antecedent, env, trace)
-    b = eval_formula(consequent, env, trace)
-    return env.lattice.sasaki_arrow(a, b)
 
 
 def _eval(node, env: Environment, trace):

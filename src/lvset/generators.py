@@ -16,20 +16,22 @@ from .exactnum import GQ
 from .projections import LatticeError, Projection, SpectralData, proj_from_span
 
 
-def random_rational(rng: random.Random, spread: int = 3) -> Fraction:
+ENTRY_SPREAD = 3       # numerators and denominators of vector entries
+EIGENVALUE_SPREAD = 6  # numerators and denominators of eigenvalues
+POOL_MAX_ENTRIES = 3   # largest domain of a random pool member
+
+
+def random_rational(rng: random.Random, spread: int = ENTRY_SPREAD) -> Fraction:
     return Fraction(rng.randint(-spread, spread), rng.randint(1, spread))
 
 
-def random_gq(rng: random.Random, spread: int = 3, complex_entries: bool = True) -> GQ:
-    re = random_rational(rng, spread)
-    im = random_rational(rng, spread) if complex_entries else Fraction(0)
-    return GQ(re, im)
+def random_gq(rng: random.Random) -> GQ:
+    return GQ(random_rational(rng), random_rational(rng))
 
 
-def random_vector(rng: random.Random, dim: int, spread: int = 3,
-                  complex_entries: bool = True) -> tuple:
+def random_vector(rng: random.Random, dim: int) -> tuple:
     while True:
-        v = tuple(random_gq(rng, spread, complex_entries) for _ in range(dim))
+        v = tuple(random_gq(rng) for _ in range(dim))
         if any(not x.is_zero() for x in v):
             return v
 
@@ -67,8 +69,7 @@ def random_projection_pair(rng: random.Random, dim: int) -> tuple:
 
 
 def random_spectral_data(rng: random.Random, dim: int,
-                         n_eigenvalues: Optional[int] = None,
-                         spread: int = 6) -> SpectralData:
+                         n_eigenvalues: Optional[int] = None) -> SpectralData:
     """A random exact observable: orthogonal eigenspaces filling the space,
     distinct rational eigenvalues."""
     if n_eigenvalues is None:
@@ -86,7 +87,7 @@ def random_spectral_data(rng: random.Random, dim: int,
         start = cut
     values: set = set()
     while len(values) < n_eigenvalues:
-        values.add(random_rational(rng, spread))
+        values.add(random_rational(rng, EIGENVALUE_SPREAD))
     eigen = tuple(
         (v, proj_from_span(g, dim))
         for v, g in zip(sorted(values), groups)
@@ -94,13 +95,12 @@ def random_spectral_data(rng: random.Random, dim: int,
     return SpectralData(dim=dim, eigen=eigen)
 
 
-def random_state_vector(rng: random.Random, dim: int, spread: int = 3) -> tuple:
+def random_state_vector(rng: random.Random, dim: int) -> tuple:
     """A nonzero exact vector; probability code normalizes by ratio."""
-    return random_vector(rng, dim, spread)
+    return random_vector(rng, dim)
 
 
-def random_qset_pool(rng: random.Random, lattice, values, size: int,
-                     max_entries: int = 3) -> list:
+def random_qset_pool(rng: random.Random, lattice, values, size: int) -> list:
     """Random lattice-valued sets grown bottom-up from the empty set.
 
     Each new member draws its domain from the pool built so far and its
@@ -113,7 +113,7 @@ def random_qset_pool(rng: random.Random, lattice, values, size: int,
         raise LatticeError("value list must be nonempty")
     pool = [empty_qset(lattice)]
     while len(pool) < size:
-        width = rng.randint(0, max_entries)
+        width = rng.randint(0, POOL_MAX_ENTRIES)
         domain = rng.sample(pool, min(width, len(pool)))
         entries = tuple((d, rng.choice(values)) for d in domain)
         pool.append(make_qset(lattice, entries))

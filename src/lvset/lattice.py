@@ -53,6 +53,12 @@ class Lattice:
         """Compatibility: a = (a∧b) ∨ (a∧b⊥)."""
         raise NotImplementedError
 
+    def commutator(self, values: Iterable):
+        """The commutator of a finite family of values: the largest element
+        that commutes with every member and under which the members commute
+        pairwise; top for an empty family."""
+        raise NotImplementedError
+
     def big_meet(self, items: Iterable):
         out = self.top()
         for x in items:
@@ -138,6 +144,9 @@ class BooleanLattice(Lattice):
     def commutes(self, a: int, b: int) -> bool:
         return True
 
+    def commutator(self, values: Iterable) -> int:
+        return self._top
+
     def describe(self) -> dict:
         return {"kind": "boolean", "atoms": self.atoms}
 
@@ -173,7 +182,12 @@ class BooleanLattice(Lattice):
 
 
 class ProjectionLattice(Lattice):
-    """Projections on a dim-dimensional space, ordered by range inclusion."""
+    """Projections on a dim-dimensional space, ordered by range inclusion.
+
+    Meets, joins, complements, order tests and commutators are memoized by
+    operand for as long as the lattice object lives; a fresh lattice
+    computes everything again.
+    """
 
     kind = "projection"
 
@@ -183,6 +197,7 @@ class ProjectionLattice(Lattice):
         self.dim = dim
         self._top = pj.identity_projection(dim)
         self._bottom = pj.zero_projection(dim)
+        self._memo: dict = {}  # (operation, *operands) -> result
 
     def __repr__(self):
         return f"ProjectionLattice(dim={self.dim})"
@@ -202,6 +217,15 @@ class ProjectionLattice(Lattice):
     def contains(self, a) -> bool:
         return isinstance(a, Projection) and a.dim == self.dim
 
+    def _memoized(self, op: str, compute, *operands):
+        """compute(*operands), computed once per operands on this lattice."""
+        key = (op, *operands)
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = compute(*operands)
+            return value
+
     def meet(self, a: Projection, b: Projection) -> Projection:
         """a ∧ b. The identities a∧a = a, a∧1 = a and a∧0 = 0 (either
         argument order) are answered without row reduction."""
@@ -212,7 +236,7 @@ class ProjectionLattice(Lattice):
             return b
         if a == self._bottom or b == self._bottom:
             return self._bottom
-        return pj.subspace_meet(a, b)
+        return self._memoized("meet", pj.subspace_meet, a, b)
 
     def join(self, a: Projection, b: Projection) -> Projection:
         """a ∨ b. The identities a∨a = a, a∨0 = a and a∨1 = 1 (either
@@ -224,16 +248,22 @@ class ProjectionLattice(Lattice):
             return b
         if a == self._top or b == self._top:
             return self._top
-        return pj.subspace_join(a, b)
+        return self._memoized("join", pj.subspace_join, a, b)
 
     def ortho(self, a: Projection) -> Projection:
-        return a.complement()
+        return self._memoized("ortho", Projection.complement, a)
 
     def leq(self, a: Projection, b: Projection) -> bool:
-        return a.leq(b)
+        return self._memoized("leq", Projection.leq, a, b)
 
     def commutes(self, a: Projection, b: Projection) -> bool:
         return a.commutes_with(b)
+
+    def commutator(self, values: Iterable) -> Projection:
+        family = frozenset(values)
+        if not family:
+            return self._top
+        return self._memoized("commutator", pj.lattice_commutator, family)
 
     def describe(self) -> dict:
         return {"kind": "projection", "dim": self.dim}

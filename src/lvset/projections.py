@@ -330,26 +330,3 @@ def spectral_from_json(doc: dict) -> SpectralData:
         for item in doc["eigen"]
     )
     return SpectralData(dim=dim, eigen=eigen)
-
-
-def projection_from_floats(rows, max_denominator: int = 10**6) -> Projection:
-    """Rationalize a float matrix and re-validate exact idempotency.
-
-    Rejects inputs that do not land exactly on a projection after
-    rationalization; nothing downstream ever sees approximate data.
-    """
-    approx = []
-    for row in rows:
-        new_row = []
-        for x in row:
-            if isinstance(x, complex):
-                re, im = x.real, x.imag
-            else:
-                re, im = float(x), 0.0
-            new_row.append(GQ(Fraction(re).limit_denominator(max_denominator),
-                              Fraction(im).limit_denominator(max_denominator)))
-        approx.append(new_row)
-    try:
-        return Projection(xm.mat(approx))
-    except LatticeError as exc:
-        raise LatticeError(f"rationalized matrix is not an exact projection: {exc}") from exc

@@ -202,6 +202,18 @@ class UniverseFragment:
         self.members = list(members)
         self.position = {m: i for i, m in enumerate(self.members)}
         self.validate()
+        self._tables = None
+
+    def truth_tables(self):
+        """The Boolean truth tables of this fragment, built on first use.
+        Every caller shares them, so their arrays are read-only."""
+        if self._tables is None:
+            from . import fragment_tables
+            tables = fragment_tables.boolean_truth_tables(self)
+            for table in (tables.fwd, tables.mem, tables.eq):
+                table.flags.writeable = False
+            self._tables = tables
+        return self._tables
 
     def validate(self):
         for m in self.members:

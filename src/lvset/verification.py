@@ -13,6 +13,7 @@ the two substitutivity forms) are what the transfer inequality is about.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import dataclass, field
@@ -23,7 +24,7 @@ import numpy as np
 from . import fragment_tables as ft
 from .formula import Environment, Exists, Forall, children, eval_formula, parse
 from .lattice import BooleanLattice, Lattice, LatticeError, ProjectionLattice
-from .projections import Projection, lattice_commutator
+from .projections import Projection
 from .universe import (EvalSession, QSet, UniverseFragment, empty_qset,
                        make_qset, numerals, qsets_to_json)
 
@@ -84,6 +85,10 @@ CATALOG = [
 CATALOG_BY_NAME = {s.name: s for s in CATALOG}
 
 THEOREM_SCHEMAS = [s for s in CATALOG if not s.is_control]
+
+# sampled instances that scott_solovay_suite re-runs through the generic
+# evaluator, split evenly over the theorem schemas
+DEFAULT_CROSS_CHECK = 180
 
 
 @dataclass(frozen=True)
@@ -150,12 +155,7 @@ def qset_commutator(args: Sequence[QSet], lattice: Lattice):
     for a in args:
         if a.lattice != lattice:
             raise LatticeError("argument belongs to a different lattice")
-    if not isinstance(lattice, ProjectionLattice):
-        return lattice.top()
-    values = [v for v in hereditary_values(args) if isinstance(v, Projection)]
-    if not values:
-        return lattice.top()
-    return lattice_commutator(values)
+    return lattice.commutator(hereditary_values(args))
 
 
 @dataclass
@@ -277,7 +277,8 @@ def _sample_tuples(rng: random.Random, members: Sequence[QSet], arity: int,
     return [tuple(rng.choice(members) for _ in range(arity)) for _ in range(count)]
 
 
-def scott_solovay_suite(fragment: UniverseFragment, cross_check: int = 200,
+def scott_solovay_suite(fragment: UniverseFragment,
+                        cross_check: int = DEFAULT_CROSS_CHECK,
                         rng: Optional[random.Random] = None) -> SuiteReport:
     """Value-1 verdicts for every catalog theorem over the whole fragment.
 
@@ -290,7 +291,7 @@ def scott_solovay_suite(fragment: UniverseFragment, cross_check: int = 200,
     if not isinstance(lattice, BooleanLattice):
         raise LatticeError("the value-1 suite runs over Boolean fragments")
     rng = rng or random.Random(0)
-    tables = ft.boolean_truth_tables(fragment)
+    tables = fragment.truth_tables()
     top = lattice.top()
     n = len(fragment)
     members = fragment.members
@@ -410,15 +411,6 @@ def transfer_suite(members: Sequence[QSet], lattice: Lattice,
     rng = rng or random.Random(0)
     session = EvalSession(lattice)
     sweeps = []
-    com_cache: dict = {}
-
-    def commutator_of(args: tuple):
-        key = tuple(id(a) for a in sorted(args, key=id))
-        if key not in com_cache:
-            com_cache[key] = qset_commutator(args, lattice)
-        return com_cache[key]
-
-    import itertools
     for schema in THEOREM_SCHEMAS:
         tuples = list(itertools.product(members, repeat=schema.arity))
         coverage = "all tuples"
@@ -431,8 +423,7 @@ def transfer_suite(members: Sequence[QSet], lattice: Lattice,
         for args in tuples:
             inst = TheoremInstance(schema, lattice, args)
             value = evaluate_instance(inst, session)
-            com = commutator_of(args)
-            if not lattice.leq(com, value):
+            if not lattice.leq(qset_commutator(args, lattice), value):
                 passed = False
                 witness = inst.serialize()
                 break
@@ -511,7 +502,7 @@ def find_equality_axiom_violation(fragment) -> Optional[ViolationWitness]:
 
     if isinstance(lattice, BooleanLattice) and isinstance(fragment, UniverseFragment):
         # all triples at once through the bit-plane tables
-        tables = ft.boolean_truth_tables(fragment)
+        tables = fragment.truth_tables()
         hit = ft.check_substitutivity_everywhere(tables)
         if hit is None:
             return None
@@ -536,27 +527,6 @@ def find_equality_axiom_violation(fragment) -> Optional[ViolationWitness]:
     mems = [[session.truth_membership(u, v) for v in members] for u in members]
     bottom = lattice.bottom()
 
-    # the same few lattice values recur across the tables, so memoize the
-    # binary ops on value pairs instead of recomputing matrix work
-    meet_cache: dict = {}
-    leq_cache: dict = {}
-
-    def below(a, b) -> bool:
-        key = (a, b)
-        r = leq_cache.get(key)
-        if r is None:
-            r = lattice.leq(a, b)
-            leq_cache[key] = r
-        return r
-
-    def meet_of(a, b):
-        key = (a, b)
-        r = meet_cache.get(key)
-        if r is None:
-            r = lattice.meet(a, b)
-            meet_cache[key] = r
-        return r
-
     for i in range(n):
         for j in range(n):
             if i == j:
@@ -565,10 +535,10 @@ def find_equality_axiom_violation(fragment) -> Optional[ViolationWitness]:
             if e == bottom:
                 continue  # meet with 0 is below everything
             for k in range(n):
-                if not below(meet_of(e, mems[i][k]), mems[j][k]):
+                if not lattice.leq(lattice.meet(e, mems[i][k]), mems[j][k]):
                     return ViolationWitness("membership-left", members[i], members[j],
                                             members[k], e, mems[i][k], mems[j][k], lattice)
-                if not below(meet_of(e, mems[k][i]), mems[k][j]):
+                if not lattice.leq(lattice.meet(e, mems[k][i]), mems[k][j]):
                     return ViolationWitness("membership-right", members[i], members[j],
                                             members[k], e, mems[k][i], mems[k][j], lattice)
     return None

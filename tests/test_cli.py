@@ -432,3 +432,45 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     done = subprocess.run([sys.executable, "-m", "lvset", "eval", "x = x"],
                           capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 2
+
+
+# Literal stdout of two reports, pinned so that caching in the lattice,
+# the seeded generators or any interning of values cannot change them.
+LAWS_P3_RANDOM6_SEED3 = (
+    '{"distributive": false, "distributivity_witness": [[["1", "0", '
+    '"0"], ["0", "0", "0"], ["0", "0", "0"]], [["1/2", "1/2", "0"], '
+    '["1/2", "1/2", "0"], ["0", "0", "0"]], [["1/2", "-1/2", "0"], '
+    '["-1/2", "1/2", "0"], ["0", "0", "1"]]], "kind": "projection", '
+    '"laws": {"absorption": true, "commutes-vs-matrix": true, '
+    '"complement-join": true, "complement-meet": true, '
+    '"de-morgan": true, "double-complement": true, '
+    '"meet-join-duality": true, "order-reversal": true, '
+    '"orthomodularity": true}, '
+    '"notes": ["sampled 8 projections in dimension 3"], '
+    '"orthomodular": true, "pairs_checked": 64, "triples_checked": 1}'
+    "\n")
+
+EQUALITY_AXIOM_DEMO = (
+    '{"lattice": {"dim": 2, "kind": "projection"}, '
+    '"suite": "equality-axiom", "witness": {"equality": [["0", "0"], '
+    '["0", "1"]], "kind": "membership-left", "lhs_meet": [["0", "0"], '
+    '["0", "1"]], "phi_u": [["1", "0"], ["0", "1"]], "phi_v": [["0", '
+    '"0"], ["0", "0"]], "sets": {"lattice": {"dim": 2, '
+    '"kind": "projection"}, "nodes": [{"entries": []}, {"entries": [[0, '
+    '[["1", "0"], ["0", "0"]]]]}, {"entries": [[0, [["0", "0"], ["0", '
+    '"1"]]]]}, {"entries": [[0, [["1/2", "1/2"], ["1/2", "1/2"]]]]}, '
+    '{"entries": [[2, [["1", "0"], ["0", "0"]]], [3, [["1/2", "-1/2"], '
+    '["-1/2", "1/2"]]]]}], "roots": [0, 1, 4]}}}'
+    "\n")
+
+
+def test_golden_laws_and_equality_axiom_outputs(session, capsys):
+    run(capsys, "lattice", "P", "--projection", "3", "--session", session)
+    code, out, err = run(capsys, "check", "laws", "--lattice", "P", "--random", "6",
+                         "--seed", "3", "--json", "--session", session)
+    assert code == 0
+    assert out == LAWS_P3_RANDOM6_SEED3
+    code, out, err = run(capsys, "check", "equality-axiom", "--demo", "--json",
+                         "--session", session)
+    assert code == 0
+    assert out == EQUALITY_AXIOM_DEMO

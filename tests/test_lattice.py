@@ -166,3 +166,66 @@ def test_projection_trivial_meet_join_match_row_reduction():
             lat.meet(a, b)
         with pytest.raises(LatticeError):
             lat.join(a, b)
+
+
+def test_projection_lattice_memo_matches_direct_ops():
+    # memoized results equal the direct computations, and a repeated call
+    # returns the very object the first call computed
+    from lvset.generators import random_projection
+    from lvset.projections import subspace_join, subspace_meet
+    rng = random.Random(23)
+    for dim in (2, 3, 4):
+        lat = ProjectionLattice(dim)
+        ps = [random_projection(rng, dim, rank=rng.randint(1, dim - 1))
+              for _ in range(3)]
+        for a, b in product(ps, repeat=2):
+            assert lat.meet(a, b) == subspace_meet(a, b)
+            assert lat.join(a, b) == subspace_join(a, b)
+            assert lat.leq(a, b) == a.leq(b)
+            assert lat.meet(a, b) is lat.meet(a, b)
+            assert lat.join(a, b) is lat.join(a, b)
+        for a in ps:
+            assert lat.ortho(a) == a.complement()
+            assert lat.ortho(a) is lat.ortho(a)
+
+
+def test_projection_lattice_memo_belongs_to_one_lattice(monkeypatch):
+    from lvset import projections as pj
+    calls = []
+    real_meet = pj.subspace_meet
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real_meet(a, b)
+
+    monkeypatch.setattr(pj, "subspace_meet", counted)
+    p = proj_from_span([(gq(1), gq(0))], 2)
+    q = proj_from_span([(gq(1), gq(1))], 2)
+    lat = ProjectionLattice(2)
+    assert lat.meet(p, q) == lat.meet(p, q) == lat.bottom()
+    assert len(calls) == 1
+    # an equal but distinct lattice object has its own memo
+    assert ProjectionLattice(2).meet(p, q) == lat.bottom()
+    assert len(calls) == 2
+
+
+def test_lattice_commutator_method():
+    from lvset.generators import random_projection
+    from lvset.projections import (commutator_pair_closed_form,
+                                   lattice_commutator)
+    rng = random.Random(29)
+    for dim in (2, 3, 4):
+        lat = ProjectionLattice(dim)
+        assert lat.commutator([]) == lat.top()
+        ps = [random_projection(rng, dim, rank=rng.randint(1, dim - 1))
+              for _ in range(3)]
+        for a, b in product(ps, repeat=2):
+            assert lat.commutator([a, b]) == commutator_pair_closed_form(a, b)
+        family = ps + [lat.ortho(ps[1])]
+        expected = lattice_commutator(family)
+        for order in (family, family[::-1], family + [ps[0], ps[2]]):
+            assert lat.commutator(order) == expected
+        assert lat.commutator(family) is lat.commutator(reversed(family))
+    blat = BooleanLattice(2)
+    assert blat.commutator([]) == blat.top()
+    assert blat.commutator([1, 2, 1]) == blat.top()

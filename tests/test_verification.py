@@ -224,3 +224,30 @@ def test_equality_axiom_violation_values_hand_checked():
     assert session.truth_equality(u, v) == lat.ortho(p)
     assert session.truth_membership(u, w) == lat.top()
     assert session.truth_membership(v, w) == lat.bottom()
+
+
+def test_fragment_builds_truth_tables_once(monkeypatch):
+    from lvset import fragment_tables as ft
+    calls = []
+    real_build = ft.boolean_truth_tables
+
+    def counted(fragment):
+        calls.append(fragment)
+        return real_build(fragment)
+
+    monkeypatch.setattr(ft, "boolean_truth_tables", counted)
+    frag = enumerate_fragment(BooleanLattice(1), 3)
+    assert scott_solovay_suite(frag, cross_check=20).passed()
+    assert find_equality_axiom_violation(frag) is None
+    assert calls == [frag]
+    tables = frag.truth_tables()
+    assert tables is frag.truth_tables()
+    for table in (tables.fwd, tables.mem, tables.eq):
+        with pytest.raises(ValueError):
+            table[0, 0] = 0
+
+
+def test_scott_solovay_default_cross_check_is_180():
+    frag = enumerate_fragment(BooleanLattice(1), 2)
+    by_name = {s.schema: s for s in scott_solovay_suite(frag).sweeps}
+    assert by_name["evaluator-cross-check"].instances == 180
