@@ -33,7 +33,7 @@ convention of this toolkit, and checkers avoid -> in core forms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Optional
+from typing import AbstractSet, Optional
 
 from .universe import EvalSession, QSet, UniverseFragment
 
@@ -476,7 +476,13 @@ class Environment:
 def eval_formula(formula, env: Environment, trace: Optional[list] = None):
     """Truth value of a closed formula under the environment."""
     core = desugar(formula, trace)
-    missing = free_variables(core) - set(env.bindings)
+    return eval_core(core, free_variables(core), env, trace)
+
+
+def eval_core(core, free: AbstractSet[str], env: Environment, trace: Optional[list] = None):
+    """eval_formula on an already desugared formula with free variables
+    `free`, for callers that evaluate one formula many times."""
+    missing = free - set(env.bindings)
     if missing:
         raise FormulaError(f"unbound identifiers: {', '.join(sorted(missing))}")
     return _eval(core, env, trace)

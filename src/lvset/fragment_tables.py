@@ -7,6 +7,11 @@ fragment then reduce to bitwise identities and per-atom-plane relation
 properties, which is what makes whole-fragment theorem sweeps feasible:
 the tables replace |F|³ evaluator calls with O(|F|²) vector work.
 
+The tables are filled one (rank, rank) block at a time in rank-sum order.
+With members in rank order every rank layer is a contiguous slice, and
+with domains padded into (n × K) index and value arrays each block costs
+O(K) whole-array numpy calls, K the widest domain in the layer.
+
 Soundness of the plane reductions: a Boolean truth value equals 1 exactly
 when its restriction to every atom plane is classically true, so
 "[[phi]] = 1 for all tuples" is equivalent to a classical statement about
@@ -15,6 +20,7 @@ each 0/1 plane of the tables.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -36,64 +42,106 @@ class TruthTables:
     eq: np.ndarray   # eq[u, v] = [[u = v]]
 
     def plane(self, table: np.ndarray, atom: int) -> np.ndarray:
-        return (table >> atom) & 1
+        out = table >> atom
+        out &= 1
+        return out
+
+
+TRANSPOSE_TILE = 256
+
+
+def transposed(table: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """table.T as a new array, or written into out, copied one square tile
+    at a time. A whole-array transposed copy of uint8 walks one operand a
+    full row per byte; tiles that fit in cache make it several times faster."""
+    n, m = table.shape
+    if out is None:
+        out = np.empty((m, n), dtype=table.dtype)
+    for i in range(0, n, TRANSPOSE_TILE):
+        for j in range(0, m, TRANSPOSE_TILE):
+            out[j:j + TRANSPOSE_TILE, i:i + TRANSPOSE_TILE] = \
+                table[i:i + TRANSPOSE_TILE, j:j + TRANSPOSE_TILE].T
+    return out
 
 
 def boolean_truth_tables(fragment: UniverseFragment) -> TruthTables:
-    """Compute FWD/EQ/MEM for every pair, layered by rank sum.
+    """Compute FWD/EQ/MEM for every pair, one rank block at a time.
 
     The mutual recursion of membership and equality strictly decreases the
-    rank sum of the pair, so filling blocks in rank-sum order needs only
-    already-computed entries.
+    rank sum of the pair, so filling (rank, rank) blocks in rank-sum order
+    needs only already-computed entries. Members are put in rank order
+    first (once, and only if the fragment is not already), so each rank
+    layer is a contiguous slice. Domains are padded to the widest one in
+    their layer as (n × K) index and value arrays; a padded entry has value
+    0, which changes neither the AND of FWD nor the OR of MEM. Each block
+    then costs O(K) whole-array numpy calls.
     """
     lattice = fragment.lattice
     if not isinstance(lattice, BooleanLattice):
         raise LatticeError("truth tables require a Boolean-lattice fragment")
     top = lattice.top()
     n = len(fragment)
-    members = fragment.members
-    pos = fragment.position
+    order = sorted(range(n), key=lambda i: fragment.members[i].rank)
+    members = [fragment.members[i] for i in order]
+    pos = {m: i for i, m in enumerate(members)}
 
-    doms = []
-    for m in members:
-        doms.append([(pos[k], v) for k, v in m.entries])
+    layers = {}  # rank -> (slice of its members, widest domain in it)
+    start = 0
+    for rank, group in itertools.groupby(members, key=lambda m: m.rank):
+        group = list(group)
+        layers[rank] = (slice(start, start + len(group)),
+                        max(len(m.entries) for m in group))
+        start += len(group)
+    width = max((k for _, k in layers.values()), default=0)
+    dom_idx = np.zeros((n, width), dtype=np.int64)
+    dom_val = np.zeros((n, width), dtype=np.uint8)
+    for i, m in enumerate(members):
+        for k, (x, value) in enumerate(m.entries):
+            dom_idx[i, k] = pos[x]
+            dom_val[i, k] = value
 
-    ranks = sorted({m.rank for m in members})
-    layers = {r: np.array([i for i, m in enumerate(members) if m.rank == r], dtype=np.int64)
-              for r in ranks}
-
-    fwd = np.zeros((n, n), dtype=np.uint8)
-    mem = np.zeros((n, n), dtype=np.uint8)
-    eq = np.zeros((n, n), dtype=np.uint8)
+    fwd = np.empty((n, n), dtype=np.uint8)
+    mem = np.empty((n, n), dtype=np.uint8)
+    eq = np.empty((n, n), dtype=np.uint8)
 
     pairs_by_sum: dict = {}
-    for ra in ranks:
-        for rb in ranks:
+    for ra in layers:
+        for rb in layers:
             pairs_by_sum.setdefault(ra + rb, []).append((ra, rb))
 
     for s in sorted(pairs_by_sum):
         blocks = pairs_by_sum[s]
         # forward inclusion first: depends on mem entries of smaller rank sum
         for ra, rb in blocks:
-            rows, cols = layers[ra], layers[rb]
-            for u in rows:
-                acc = np.full(len(cols), top, dtype=np.uint8)
-                for x_idx, value in doms[u]:
-                    acc &= (top ^ value) | mem[x_idx, cols]
-                fwd[u, cols] = acc
+            (rows, k_rows), (cols, _) = layers[ra], layers[rb]
+            acc = fwd[rows, cols]
+            acc.fill(top)
+            for k in range(k_rows):
+                term = mem[dom_idx[rows, k], cols]
+                term |= (top ^ dom_val[rows, k])[:, None]
+                acc &= term
+                del term  # free it before the next gather
         # equality: both forward directions of this same rank sum
         for ra, rb in blocks:
-            rows, cols = layers[ra], layers[rb]
-            eq[np.ix_(rows, cols)] = fwd[np.ix_(rows, cols)] & fwd[np.ix_(cols, rows)].T
-        # membership: depends on equality entries of this or smaller rank sum
+            rows, cols = layers[ra][0], layers[rb][0]
+            block = transposed(fwd[cols, rows], out=eq[rows, cols])
+            block &= fwd[rows, cols]
+        # membership: depends on equality entries of smaller rank sum. EQ is
+        # symmetric, so the block is built transposed from rows of EQ.
         for ra, rb in blocks:
-            rows, cols = layers[ra], layers[rb]
-            for v in cols:
-                acc = np.zeros(len(rows), dtype=np.uint8)
-                for y_idx, value in doms[v]:
-                    acc |= value & eq[y_idx, rows]
-                mem[rows, v] = acc
+            (rows, _), (cols, k_cols) = layers[ra], layers[rb]
+            acc = np.zeros((cols.stop - cols.start, rows.stop - rows.start), dtype=np.uint8)
+            for k in range(k_cols):
+                term = eq[dom_idx[cols, k], rows]
+                term &= dom_val[cols, k][:, None]
+                acc |= term
+                del term
+            transposed(acc, out=mem[rows, cols])
+            del acc
 
+    if order != list(range(n)):
+        back = np.argsort(order)
+        fwd, mem, eq = (t[np.ix_(back, back)] for t in (fwd, mem, eq))
     return TruthTables(fragment=fragment, atoms=lattice.atoms, top=top,
                        fwd=fwd, mem=mem, eq=eq)
 
@@ -103,9 +151,9 @@ def equivalence_labels(plane: np.ndarray) -> Optional[np.ndarray]:
     else None. label[u] = least related index; the relation is an
     equivalence exactly when it equals the label-agreement relation."""
     labels = np.argmax(plane, axis=1)
-    if np.array_equal(plane, (labels[:, None] == labels[None, :]).astype(plane.dtype)):
-        return labels
-    return None
+    differs = labels[:, None] == labels[None, :]
+    np.not_equal(plane, differs, out=differs)
+    return None if differs.any() else labels
 
 
 def find_transitivity_counterexample(plane: np.ndarray) -> Optional[tuple]:
@@ -139,28 +187,37 @@ def check_substitutivity_everywhere(tables: TruthTables) -> Optional[tuple]:
     """None if equal sets are everywhere intersubstitutable in membership:
     [[u=v & u in w -> v in w]] = 1 and [[u=v & w in u -> w in v]] = 1 over
     all triples. Reduces to membership rows/columns being constant on the
-    equality classes of every plane. Returns (kind, u, v, w) on failure."""
+    equality classes of every plane. Returns (kind, u, v, w) on failure.
+
+    Columns are compared as rows of the transposed plane, which is one
+    contiguous copy instead of a column gather; witnesses are searched
+    only once a mask is known to hold a bad entry."""
     for atom in range(tables.atoms):
         eq_plane = tables.plane(tables.eq, atom)
         labels = equivalence_labels(eq_plane)
         if labels is None:
             triple = find_transitivity_counterexample(eq_plane)
             return ("transitivity", *triple)
+        del eq_plane
         mem_plane = tables.plane(tables.mem, atom)
-        rep_rows = mem_plane[labels, :]
-        row_bad = np.argwhere(mem_plane != rep_rows)
-        if len(row_bad):
-            u, w = (int(x) for x in row_bad[0])
+        bad = mem_plane != mem_plane[labels]
+        if bad.any():
+            u, w = (int(x) for x in np.argwhere(bad)[0])
             v = int(labels[u])
             if not mem_plane[u, w]:  # orient so the first set is the member
                 u, v = v, u
             return ("membership-left", u, v, w)
-        rep_cols = mem_plane[:, labels]
-        col_bad = np.argwhere(mem_plane != rep_cols)
-        if len(col_bad):
-            w, u = (int(x) for x in col_bad[0])
+        del bad
+        # mem_t[u, w] = [[w in u]] on this plane
+        mem_t = transposed(mem_plane)
+        del mem_plane
+        bad = mem_t != mem_t[labels]
+        if bad.any():
+            # scan in (w, u) order, as a column sweep of the plane would
+            w, u = (int(x) for x in np.argwhere(bad.T)[0])
             v = int(labels[u])
-            if not mem_plane[w, u]:
+            if not mem_t[u, w]:
                 u, v = v, u
             return ("membership-right", u, v, w)
+        del mem_t, bad  # before the next plane is cut
     return None

@@ -55,12 +55,22 @@ class QSet:
         return not self.entries
 
     def structural_key(self):
-        """Extensional fingerprint used for dedup and stable JSON export."""
-        cached = object.__getattribute__(self, "_skey")
-        if cached is None:
-            cached = frozenset((k.structural_key(), v) for k, v in self.entries)
-            object.__setattr__(self, "_skey", cached)
-        return cached
+        """Extensional fingerprint used for dedup and stable JSON export.
+        Keys are filled bottom-up from an explicit stack, so deep sets need
+        no recursion."""
+        stack = [self]
+        while stack:
+            u = stack[-1]
+            if u._skey is not None:
+                stack.pop()
+                continue
+            pending = [k for k, _ in u.entries if k._skey is None]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            object.__setattr__(u, "_skey", frozenset((k._skey, v) for k, v in u.entries))
+        return self._skey
 
     def __repr__(self):
         return f"QSet(rank={self.rank}, entries={len(self.entries)})"
@@ -203,6 +213,7 @@ class UniverseFragment:
         self.position = {m: i for i, m in enumerate(self.members)}
         self.validate()
         self._tables = None
+        self._substitutivity = None  # (result,) once computed; the result may be None
 
     def truth_tables(self):
         """The Boolean truth tables of this fragment, built on first use.
@@ -214,6 +225,15 @@ class UniverseFragment:
                 table.flags.writeable = False
             self._tables = tables
         return self._tables
+
+    def substitutivity_failure(self):
+        """fragment_tables.check_substitutivity_everywhere on this
+        fragment's truth tables, computed on first use and then shared."""
+        if self._substitutivity is None:
+            from . import fragment_tables
+            self._substitutivity = (
+                fragment_tables.check_substitutivity_everywhere(self.truth_tables()),)
+        return self._substitutivity[0]
 
     def validate(self):
         for m in self.members:
@@ -314,16 +334,25 @@ def qsets_to_json(roots: Iterable[QSet], lattice: Lattice) -> dict:
     by index; every key index points strictly earlier in the table."""
     index: dict = {}
     nodes: list = []
-
-    def visit(u: QSet) -> int:
-        if u in index:
-            return index[u]
-        entry_list = [[visit(k), lattice.element_to_json(v)] for k, v in u.entries]
-        nodes.append({"entries": entry_list})
-        index[u] = len(nodes) - 1
-        return index[u]
-
-    root_ids = [visit(r) for r in roots]
+    root_ids: list = []
+    for root in roots:
+        # depth-first post-order from an explicit stack: a node is emitted
+        # once its keys are, first key first, so deep sets need no recursion
+        stack = [root]
+        while stack:
+            u = stack[-1]
+            if u in index:
+                stack.pop()
+                continue
+            pending = [k for k, _ in u.entries if k not in index]
+            if pending:
+                stack.extend(reversed(pending))
+                continue
+            stack.pop()
+            nodes.append({"entries": [[index[k], lattice.element_to_json(v)]
+                                      for k, v in u.entries]})
+            index[u] = len(nodes) - 1
+        root_ids.append(index[root])
     return {"lattice": lattice.describe(), "nodes": nodes, "roots": root_ids}
 
 

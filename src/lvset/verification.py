@@ -22,7 +22,8 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from . import fragment_tables as ft
-from .formula import Environment, Exists, Forall, children, eval_formula, parse
+from .formula import (Environment, Exists, Forall, children, desugar, eval_core,
+                      free_variables, parse)
 from .lattice import BooleanLattice, Lattice, LatticeError, ProjectionLattice
 from .projections import Projection
 from .universe import (EvalSession, QSet, UniverseFragment, empty_qset,
@@ -42,9 +43,13 @@ class Schema:
     build: Optional[Callable] = None
     is_control: bool = False  # deliberately not a theorem
     formula: object = field(init=False, compare=False)  # parse(text)
+    core: object = field(init=False, compare=False)  # desugar(formula)
+    free: frozenset = field(init=False, compare=False)  # free_variables(core)
 
     def __post_init__(self):
         object.__setattr__(self, "formula", parse(self.text))
+        object.__setattr__(self, "core", desugar(self.formula))
+        object.__setattr__(self, "free", frozenset(free_variables(self.core)))
 
 
 def _build_empty(lattice: Lattice, args: tuple) -> dict:
@@ -127,7 +132,7 @@ def has_unbounded_quantifier(formula) -> bool:
 
 def evaluate_instance(inst: TheoremInstance, session: Optional[EvalSession] = None):
     env = Environment(inst.lattice, inst.bindings(), session=session)
-    return eval_formula(inst.schema.formula, env)
+    return eval_core(inst.schema.core, inst.schema.free, env)
 
 
 def hereditary_values(args: Iterable[QSet]) -> list:
@@ -277,6 +282,14 @@ def _sample_tuples(rng: random.Random, members: Sequence[QSet], arity: int,
     return [tuple(rng.choice(members) for _ in range(arity)) for _ in range(count)]
 
 
+def _first_nonzero(mask: np.ndarray) -> Optional[tuple]:
+    """Index of the first nonzero entry in row-major order, or None. The
+    full scan for indices runs only once a nonzero entry is known."""
+    if not mask.any():
+        return None
+    return tuple(int(x) for x in np.argwhere(mask)[0])
+
+
 def scott_solovay_suite(fragment: UniverseFragment,
                         cross_check: int = DEFAULT_CROSS_CHECK,
                         rng: Optional[random.Random] = None) -> SuiteReport:
@@ -309,14 +322,13 @@ def scott_solovay_suite(fragment: UniverseFragment,
     sweeps.append(SchemaSweep("eq-reflexivity", "all members", n, refl_ok, witness))
 
     # eq-symmetry over all pairs: ~(eq & ~eq.T) must be top
-    symm_bad = np.argwhere((eq & (top ^ eq.T)) != 0)
+    i_j = _first_nonzero(eq & (top ^ ft.transposed(eq)))
     witness = None
-    if len(symm_bad):
-        i, j = (int(x) for x in symm_bad[0])
+    if i_j is not None:
         witness = TheoremInstance(CATALOG_BY_NAME["eq-symmetry"], lattice,
-                                  (members[i], members[j])).serialize()
+                                  tuple(members[i] for i in i_j)).serialize()
     sweeps.append(SchemaSweep("eq-symmetry", "all pairs", n * n,
-                              len(symm_bad) == 0, witness))
+                              i_j is None, witness))
 
     # eq-transitivity over all triples, by plane equivalence
     triple = ft.check_transitivity_everywhere(tables)
@@ -331,21 +343,19 @@ def scott_solovay_suite(fragment: UniverseFragment,
     # extensionality over all pairs: the inclusion conjunction is the
     # equality value itself, so ~(that & ~eq) is top exactly when the
     # tables agree.
-    ext_bad = np.argwhere(((fwd & fwd.T) & (top ^ eq)) != 0)
+    i_j = _first_nonzero((fwd & ft.transposed(fwd)) & (top ^ eq))
     witness = None
-    if len(ext_bad):
-        i, j = (int(x) for x in ext_bad[0])
+    if i_j is not None:
         witness = TheoremInstance(CATALOG_BY_NAME["extensionality"], lattice,
-                                  (members[i], members[j])).serialize()
+                                  tuple(members[i] for i in i_j)).serialize()
     sweeps.append(SchemaSweep("extensionality", "all pairs", n * n,
-                              len(ext_bad) == 0, witness))
+                              i_j is None, witness))
 
     # and-weakening over all triples: the inner conjunction contains
     # mem & ~mem, which vanishes bitwise on every pair regardless of the
     # third argument.
-    weak_bad = np.argwhere((mem & (top ^ mem)) != 0)
     sweeps.append(SchemaSweep("and-weakening", "all triples (vanishing core)",
-                              n ** 3, len(weak_bad) == 0))
+                              n ** 3, _first_nonzero(mem & (top ^ mem)) is None))
 
     # empty-set: a single closed instance
     inst = TheoremInstance(CATALOG_BY_NAME["empty-set"], lattice, ())
@@ -360,7 +370,7 @@ def scott_solovay_suite(fragment: UniverseFragment,
                               notes=["membership in the constructed pair contains [[x=x]]"]))
 
     # substitutivity (both directions) over all triples
-    sub = ft.check_substitutivity_everywhere(tables)
+    sub = fragment.substitutivity_failure()
     witness = None
     if sub is not None:
         kind, i, j, k = sub
@@ -503,7 +513,7 @@ def find_equality_axiom_violation(fragment) -> Optional[ViolationWitness]:
     if isinstance(lattice, BooleanLattice) and isinstance(fragment, UniverseFragment):
         # all triples at once through the bit-plane tables
         tables = fragment.truth_tables()
-        hit = ft.check_substitutivity_everywhere(tables)
+        hit = fragment.substitutivity_failure()
         if hit is None:
             return None
         kind, i, j, k = hit

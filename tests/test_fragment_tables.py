@@ -9,10 +9,12 @@ from lvset.fragment_tables import (boolean_truth_tables,
                                    check_substitutivity_everywhere,
                                    check_transitivity_everywhere,
                                    equivalence_labels,
-                                   find_transitivity_counterexample)
+                                   find_transitivity_counterexample,
+                                   transposed)
 from lvset.formula import Environment, eval_formula, parse
+from lvset.generators import random_qset_pool
 from lvset.lattice import BooleanLattice, LatticeError, ProjectionLattice
-from lvset.universe import EvalSession, enumerate_fragment
+from lvset.universe import EvalSession, UniverseFragment, enumerate_fragment
 
 
 def test_tables_match_generic_evaluator():
@@ -45,6 +47,28 @@ def test_tables_small_fragment_exhaustive():
             assert int(ft.mem[i, j]) == session.truth_membership(u, v)
 
 
+@pytest.mark.parametrize("atoms", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_tables_match_evaluator_on_unsorted_pools(atoms, seed):
+    # random pools are grown bottom-up but not in rank order, so the fill
+    # has to sort the members into rank layers and put them back
+    lat = BooleanLattice(atoms)
+    rng = random.Random(f"pool:{atoms}:{seed}")
+    pool = random_qset_pool(rng, lat, lat.elements(), 36)
+    ranks = [m.rank for m in pool]
+    assert ranks != sorted(ranks)
+    frag = UniverseFragment(lat, pool)
+    ft = boolean_truth_tables(frag)
+    session = EvalSession(lat)
+    forall = parse("forall x in u . x in v")
+    for i, u in enumerate(pool):
+        for j, v in enumerate(pool):
+            assert int(ft.eq[i, j]) == session.truth_equality(u, v)
+            assert int(ft.mem[i, j]) == session.truth_membership(u, v)
+            env = Environment(lat, bindings={"u": u, "v": v}, session=session)
+            assert int(ft.fwd[i, j]) == eval_formula(forall, env)
+
+
 def test_tables_reject_projection_fragments():
     from lvset.exactnum import gq
     from lvset.projections import proj_from_span
@@ -63,6 +87,16 @@ def test_eq_planes_are_equivalences():
         assert equivalence_labels(ft.plane(ft.eq, atom)) is not None
     assert check_transitivity_everywhere(ft) is None
     assert check_substitutivity_everywhere(ft) is None
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (1, 700), (300, 517), (600, 600)])
+def test_tiled_transpose_matches_numpy(shape):
+    table = np.random.default_rng(7).integers(0, 256, shape, dtype=np.uint8)
+    assert np.array_equal(transposed(table), table.T)
+    out = np.zeros((shape[1] + 2, shape[0] + 2), dtype=np.uint8)
+    transposed(table, out=out[1:-1, 1:-1])
+    assert np.array_equal(out[1:-1, 1:-1], table.T)
+    assert not out[0].any() and not out[-1].any()
 
 
 def test_transitivity_counterexample_finder():
@@ -103,3 +137,27 @@ def test_tampered_membership_table_is_caught():
     assert witness is not None
     kind = witness[0]
     assert kind in ("membership-left", "membership-right")
+
+
+def test_tampered_membership_column_is_caught_in_column_order():
+    # flip [[x in u]] for every x equal to w, for two (w, u): every
+    # membership row stays constant on its equality class, columns 12 and
+    # 20 no longer do. The class of w = 5 starts before that of w = 2, so
+    # a (w, u) scan and a (u, w) scan meet different bad entries first.
+    lat = BooleanLattice(1)
+    frag = enumerate_fragment(lat, 3)
+    ft = boolean_truth_tables(frag)
+    eq_plane = ft.plane(ft.eq, 0)
+    for w, u in ((2, 12), (5, 20)):
+        assert eq_plane[u].sum() > 1
+        ft.mem[eq_plane[w].astype(bool), u] ^= 1
+    # the witness a whole-plane column gather finds: the first bad (w, u)
+    # in row-major order, oriented so that u is the container holding w
+    mem_plane = ft.plane(ft.mem, 0)
+    labels = equivalence_labels(eq_plane)
+    bad_w, bad_u = (int(x) for x in np.argwhere(mem_plane != mem_plane[:, labels])[0])
+    bad_v = int(labels[bad_u])
+    if not mem_plane[bad_w, bad_u]:
+        bad_u, bad_v = bad_v, bad_u
+    assert check_substitutivity_everywhere(ft) == ("membership-right", bad_u, bad_v, bad_w)
+    assert mem_plane[bad_w, bad_u] and not mem_plane[bad_w, bad_v]

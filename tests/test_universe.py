@@ -274,6 +274,25 @@ def test_qsets_json_round_trip_preserves_sharing():
     assert any(k is s2.domain()[0] for k in inner[0:1]) or inner[0] is s2.entries[0][0]
 
 
+def test_deep_chain_structural_key_and_json_round_trip():
+    # walks over a singleton chain far past the interpreter's recursion limit
+    lat = TWO
+    chain = [empty_qset(lat)]
+    for _ in range(1499):
+        chain.append(make_qset(lat, [(chain[-1], lat.top())]))
+    top = chain[-1]
+    assert top.rank == 1500
+    key = top.structural_key()
+    assert key == frozenset({(chain[-2].structural_key(), lat.top())})
+    doc = qsets_to_json([top], lat)
+    assert len(doc["nodes"]) == 1500 and doc["roots"] == [1499]
+    _, (again,) = qsets_from_json(doc)
+    assert again.rank == 1500
+    assert qsets_to_json([again], lat) == doc
+    # equal structure, equal hash; == on two deep keys would itself recurse
+    assert hash(again.structural_key()) == hash(key)
+
+
 def test_fragment_json_round_trip():
     lat, p, q = dim2_pq()
     frag = enumerate_fragment(lat, 2, values=[lat.bottom(), p, lat.top()])

@@ -247,6 +247,22 @@ def test_fragment_builds_truth_tables_once(monkeypatch):
             table[0, 0] = 0
 
 
+def test_fragment_checks_substitutivity_once(monkeypatch):
+    from lvset import fragment_tables as ft
+    calls = []
+    real_check = ft.check_substitutivity_everywhere
+
+    def counted(tables):
+        calls.append(tables)
+        return real_check(tables)
+
+    monkeypatch.setattr(ft, "check_substitutivity_everywhere", counted)
+    frag = enumerate_fragment(BooleanLattice(1), 3)
+    assert scott_solovay_suite(frag, cross_check=20).passed()
+    assert find_equality_axiom_violation(frag) is None
+    assert len(calls) == 1 and calls[0] is frag.truth_tables()
+
+
 def test_scott_solovay_default_cross_check_is_180():
     frag = enumerate_fragment(BooleanLattice(1), 2)
     by_name = {s.schema: s for s in scott_solovay_suite(frag).sweeps}
