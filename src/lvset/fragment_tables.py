@@ -21,7 +21,7 @@ each 0/1 plane of the tables.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -40,11 +40,20 @@ class TruthTables:
     fwd: np.ndarray  # fwd[u, v] = [[forall x in u . x in v]]
     mem: np.ndarray  # mem[x, v] = [[x in v]]
     eq: np.ndarray   # eq[u, v] = [[u = v]]
+    _labels: Optional[list] = field(default=None, init=False, repr=False, compare=False)
 
     def plane(self, table: np.ndarray, atom: int) -> np.ndarray:
         out = table >> atom
         out &= 1
         return out
+
+    def eq_labels(self) -> list:
+        """equivalence_labels of each EQ plane, atom by atom, computed on
+        first use; the transitivity and substitutivity checks both read them."""
+        if self._labels is None:
+            self._labels = [equivalence_labels(self.plane(self.eq, atom))
+                            for atom in range(self.atoms)]
+        return self._labels
 
 
 TRANSPOSE_TILE = 256
@@ -176,10 +185,11 @@ def find_transitivity_counterexample(plane: np.ndarray) -> Optional[tuple]:
 def check_transitivity_everywhere(tables: TruthTables) -> Optional[tuple]:
     """None if [[u=v & v=w -> u=w]] = 1 for all |F|³ triples, else a triple
     index witness. Per-plane equivalence is exactly this statement."""
-    for atom in range(tables.atoms):
-        witness = find_transitivity_counterexample(tables.plane(tables.eq, atom))
-        if witness is not None:
-            return witness
+    for atom, labels in enumerate(tables.eq_labels()):
+        if labels is None:
+            witness = find_transitivity_counterexample(tables.plane(tables.eq, atom))
+            if witness is not None:
+                return witness
     return None
 
 
@@ -192,13 +202,10 @@ def check_substitutivity_everywhere(tables: TruthTables) -> Optional[tuple]:
     Columns are compared as rows of the transposed plane, which is one
     contiguous copy instead of a column gather; witnesses are searched
     only once a mask is known to hold a bad entry."""
-    for atom in range(tables.atoms):
-        eq_plane = tables.plane(tables.eq, atom)
-        labels = equivalence_labels(eq_plane)
+    for atom, labels in enumerate(tables.eq_labels()):
         if labels is None:
-            triple = find_transitivity_counterexample(eq_plane)
+            triple = find_transitivity_counterexample(tables.plane(tables.eq, atom))
             return ("transitivity", *triple)
-        del eq_plane
         mem_plane = tables.plane(tables.mem, atom)
         bad = mem_plane != mem_plane[labels]
         if bad.any():

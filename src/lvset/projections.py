@@ -32,7 +32,7 @@ class Projection:
             raise LatticeError("projection matrix must be square")
         if not xm.is_hermitian(matrix):
             raise LatticeError("projection matrix must be Hermitian (M = M†)")
-        if xm.mat_mul(matrix, matrix) != matrix:
+        if not xm.product_equals(matrix, matrix, matrix):
             raise LatticeError("projection matrix must be idempotent (M·M = M)")
         object.__setattr__(self, "dim", n)
         object.__setattr__(self, "matrix", matrix)
@@ -42,8 +42,12 @@ class Projection:
         raise AttributeError("Projection is immutable")
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, Projection):
             return NotImplemented
+        if self._hash != other._hash:
+            return False
         return self.dim == other.dim and self.matrix == other.matrix
 
     def __hash__(self):
@@ -62,17 +66,18 @@ class Projection:
         return self.matrix == xm.identity(self.dim)
 
     def complement(self) -> "Projection":
-        return Projection(xm.mat_sub(xm.identity(self.dim), self.matrix))
+        return Projection(xm.identity_minus(self.matrix))
 
     def leq(self, other: "Projection") -> bool:
         """Subspace containment: P ≤ Q iff QP = P (exact)."""
         check_dims(self, other)
-        return xm.mat_mul(other.matrix, self.matrix) == self.matrix
+        return xm.product_equals(other.matrix, self.matrix, self.matrix)
 
     def commutes_with(self, other: "Projection") -> bool:
         """Matrix commutation PQ = QP (exact)."""
         check_dims(self, other)
-        return xm.mat_mul(self.matrix, other.matrix) == xm.mat_mul(other.matrix, self.matrix)
+        return xm.product_equals(other.matrix, self.matrix,
+                                 xm.mat_mul(self.matrix, other.matrix))
 
 
 def check_dims(*ps: Projection):
@@ -94,7 +99,8 @@ def proj_from_span(vectors: Sequence[Sequence[GQ]], dim: int) -> Projection:
     """Orthogonal projection onto span(vectors).
 
     Normal-equation form P = V (V†V)⁻¹ V† over a maximal independent subset,
-    so no vector normalization (hence no square roots) is ever needed.
+    so no vector normalization (hence no square roots) is ever needed. An
+    empty subset spans 0 and one of dim vectors the whole space.
     """
     vecs = [tuple(v) for v in vectors]
     for v in vecs:
@@ -104,11 +110,12 @@ def proj_from_span(vectors: Sequence[Sequence[GQ]], dim: int) -> Projection:
     basis = xm.independent_subset(vecs)
     if not basis:
         return zero_projection(dim)
+    if len(basis) == dim:
+        return identity_projection(dim)
     v_cols = tuple(tuple(basis[j][i] for j in range(len(basis))) for i in range(dim))
     v_dag = xm.dagger(v_cols)
     gram = xm.mat_mul(v_dag, v_cols)
-    gram_inv = xm.inverse(gram)
-    return Projection(xm.mat_mul(v_cols, xm.mat_mul(gram_inv, v_dag)))
+    return Projection(xm.mat_mul(v_cols, xm.solve(gram, v_dag)))
 
 
 def _columns(p: Projection) -> list:
@@ -119,8 +126,7 @@ def _columns(p: Projection) -> list:
 def subspace_meet(p: Projection, q: Projection) -> Projection:
     """Projection onto ran(P) ∩ ran(Q): kernel of the stacked (I−P; I−Q)."""
     check_dims(p, q)
-    eye = xm.identity(p.dim)
-    stacked = xm.mat_sub(eye, p.matrix) + xm.mat_sub(eye, q.matrix)
+    stacked = xm.identity_minus(p.matrix) + xm.identity_minus(q.matrix)
     return proj_from_span(xm.kernel_basis(stacked), p.dim)
 
 
@@ -200,8 +206,7 @@ def lattice_commutator(projections: Iterable[Projection]) -> Projection:
         frontier = new_frontier
 
     unit = _ideal_unit(ideal)
-    complement = xm.mat_sub(eye, unit)
-    result = Projection(complement)
+    result = Projection(xm.identity_minus(unit))
     for g in gens:
         if not result.commutes_with(g):
             raise LatticeError("internal error: commutator does not commute with inputs")
@@ -219,18 +224,18 @@ def _ideal_unit(basis: list) -> xm.Matrix:
         fb = _flat(b)
         for pos in range(width):
             rows.append([products[j][pos] for j in range(k)] + [fb[pos]])
-    pivots = xm._rref_in_place(rows)
+    reduced, pivots = xm.rref(rows)
     coeffs = [ZERO] * k
     for r, c in enumerate(pivots):
         if c == k:
             raise LatticeError("internal error: commutator ideal has no unit")
-        coeffs[c] = rows[r][k]
+        coeffs[c] = reduced[r][k]
     unit = xm.zeros(len(basis[0]), len(basis[0]))
     for x, b in zip(coeffs, basis):
         if not x.is_zero():
             unit = xm.mat_add(unit, xm.mat_scale(x, b))
     for b in basis:
-        if xm.mat_mul(unit, b) != b or xm.mat_mul(b, unit) != b:
+        if not (xm.product_equals(unit, b, b) and xm.product_equals(b, unit, b)):
             raise LatticeError("internal error: ideal unit equations are inconsistent")
     return unit
 
@@ -273,7 +278,7 @@ class SpectralData:
                 raise LatticeError("zero eigenprojection not allowed")
         for i, p in enumerate(projs):
             for q in projs[i + 1:]:
-                if not xm.is_zero(xm.mat_mul(p.matrix, q.matrix)):
+                if not xm.product_equals(p.matrix, q.matrix, xm.zeros(self.dim, self.dim)):
                     raise LatticeError("eigenprojections must be pairwise orthogonal")
         total = xm.zeros(self.dim, self.dim)
         for p in projs:

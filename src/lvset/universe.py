@@ -154,32 +154,41 @@ class EvalSession:
     def truth_membership(self, u: QSet, v: QSet):
         """[[u ∈ v]] = ⋁_{x ∈ dom(v)} v(x) ∧ [[x = u]]."""
         self._check(u, v)
+        return self._membership_value(u, v)
+
+    def truth_equality(self, u: QSet, v: QSet):
+        """[[u = v]] = ⋀_{x∈dom(u)} (u(x) → [[x∈v]]) ∧ ⋀_{y∈dom(v)} (v(y) → [[y∈u]])."""
+        self._check(u, v)
+        return self._equality_value(u, v)
+
+    # The recursion stays below the checked entry points: every member of a
+    # domain belongs to its container's lattice.
+
+    def _membership_value(self, u: QSet, v: QSet):
         key = (u, v)
         hit = self._membership.get(key)
         if hit is not None:
             return hit
         lat = self.lattice
         out = lat.big_join(
-            lat.meet(value, self.truth_equality(x, u))
+            lat.meet(value, self._equality_value(x, u))
             for x, value in v.entries
         )
         self._membership[key] = out
         return out
 
-    def truth_equality(self, u: QSet, v: QSet):
-        """[[u = v]] = ⋀_{x∈dom(u)} (u(x) → [[x∈v]]) ∧ ⋀_{y∈dom(v)} (v(y) → [[y∈u]])."""
-        self._check(u, v)
+    def _equality_value(self, u: QSet, v: QSet):
         key = (u, v)
         hit = self._equality.get(key)
         if hit is not None:
             return hit
         lat = self.lattice
         forward = lat.big_meet(
-            lat.sasaki_arrow(value, self.truth_membership(x, v))
+            lat.sasaki_arrow(value, self._membership_value(x, v))
             for x, value in u.entries
         )
         backward = lat.big_meet(
-            lat.sasaki_arrow(value, self.truth_membership(y, u))
+            lat.sasaki_arrow(value, self._membership_value(y, u))
             for y, value in v.entries
         )
         out = lat.meet(forward, backward)

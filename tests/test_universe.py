@@ -310,3 +310,18 @@ def test_fragment_validation_rejects_foreign_members():
     other = FOUR
     with pytest.raises(LatticeError):
         UniverseFragment(lat, [empty_qset(other)])
+
+
+def test_session_checks_lattice_at_each_public_entry():
+    lat, p, _ = dim2_pq()
+    s = make_qset(lat, ((empty_qset(lat), p),))
+    other = make_qset(FOUR, ((empty_qset(FOUR), 1),))
+    session = EvalSession(lat)
+    for call in (session.truth_membership, session.truth_equality):
+        with pytest.raises(LatticeError):
+            call(s, other)
+        with pytest.raises(LatticeError):
+            call(other, s)
+    # the recursion below the entry points fills both memos
+    assert session.truth_equality(s, s) == lat.top()
+    assert all(size > 0 for size in session.cache_sizes())

@@ -174,6 +174,45 @@ def test_transfer_suite_over_projection_fragment():
         assert sweep.instances >= 1
 
 
+def test_transfer_suite_walks_each_member_once(monkeypatch):
+    import lvset.verification as vf
+    lat, p, q = dim2_lattice()
+    members = violation_demo_collection(lat, p, q)
+    walks = []
+    real_walk = vf.hereditary_values
+
+    def counted(args):
+        args = tuple(args)
+        walks.append(args)
+        return real_walk(args)
+
+    monkeypatch.setattr(vf, "hereditary_values", counted)
+    suite = transfer_suite(members, lat)
+    assert walks == [(m,) for m in members]
+    # each verdict still compares with the commutator of the whole tuple
+    monkeypatch.undo()
+    assert suite.to_json() == _transfer_suite_per_tuple(members, lat).to_json()
+
+
+def _transfer_suite_per_tuple(members, lat):
+    """transfer_suite with qset_commutator taken per tuple, as an oracle."""
+    import itertools
+    from lvset.verification import SchemaSweep, SuiteReport, evaluate_instance
+    session = EvalSession(lat)
+    sweeps = []
+    for schema in THEOREM_SCHEMAS:
+        tuples = list(itertools.product(members, repeat=schema.arity))
+        witness = None
+        for args in tuples:
+            inst = TheoremInstance(schema, lat, args)
+            if not lat.leq(qset_commutator(args, lat), evaluate_instance(inst, session)):
+                witness = inst.serialize()
+                break
+        sweeps.append(SchemaSweep(schema.name, "all tuples", len(tuples), witness is None,
+                                  witness))
+    return SuiteReport("transfer", lat.describe(), sweeps)
+
+
 def test_violation_demo_collection_produces_witness():
     lat, p, q = dim2_lattice()
     members = violation_demo_collection(lat, p, q)
@@ -261,6 +300,22 @@ def test_fragment_checks_substitutivity_once(monkeypatch):
     assert scott_solovay_suite(frag, cross_check=20).passed()
     assert find_equality_axiom_violation(frag) is None
     assert len(calls) == 1 and calls[0] is frag.truth_tables()
+
+
+def test_fragment_cuts_each_equality_plane_once(monkeypatch):
+    from lvset import fragment_tables as ft
+    calls = []
+    real_labels = ft.equivalence_labels
+
+    def counted(plane):
+        calls.append(plane)
+        return real_labels(plane)
+
+    monkeypatch.setattr(ft, "equivalence_labels", counted)
+    frag = enumerate_fragment(BooleanLattice(2), 2)
+    assert scott_solovay_suite(frag, cross_check=20).passed()
+    assert find_equality_axiom_violation(frag) is None
+    assert len(calls) == frag.lattice.atoms
 
 
 def test_scott_solovay_default_cross_check_is_180():
