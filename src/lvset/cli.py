@@ -130,12 +130,6 @@ class Workspace:
             raise UsageError(f"unknown fragment {name!r}")
         return self.fragments[name][1]
 
-    def lattice_name_of(self, lattice: Lattice) -> Optional[str]:
-        for name, lat in self.lattices.items():
-            if lat == lattice:
-                return name
-        return None
-
     # -- persistence
 
     def to_json(self) -> dict:
@@ -393,11 +387,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_eval(args) -> int:
     ws = _load_workspace(args)
-    try:
-        formula = parse(args.formula)
-    except FormulaError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    formula = parse(args.formula)
 
     names = sorted(free_variables(formula))
     bindings = {}
@@ -682,19 +672,10 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, FormulaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FormulaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (LatticeError, DataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (LatticeError, DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -39,10 +39,6 @@ def identity(n: int) -> Matrix:
     return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
 
 
-def shape(m: Matrix) -> tuple:
-    return (len(m), len(m[0]) if m else 0)
-
-
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 

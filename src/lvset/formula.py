@@ -32,7 +32,7 @@ convention of this toolkit, and checkers avoid -> in core forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import AbstractSet, Optional
 
 from .universe import EvalSession, QSet, UniverseFragment
@@ -54,48 +54,41 @@ class FormulaError(Exception):
 @dataclass(frozen=True)
 class Var:
     name: str
-    span: Optional[tuple] = field(default=None, compare=False, kw_only=True)
 
 
 @dataclass(frozen=True)
 class Eq:
     left: Var
     right: Var
-    span: Optional[tuple] = field(default=None, compare=False, kw_only=True)
 
 
 @dataclass(frozen=True)
 class In:
     left: Var
     right: Var
-    span: Optional[tuple] = field(default=None, compare=False, kw_only=True)
 
 
 @dataclass(frozen=True)
 class Not:
     body: object
-    span: Optional[tuple] = field(default=None, compare=False, kw_only=True)
 
 
 @dataclass(frozen=True)
 class And:
     left: object
     right: object
-    span: Optional[tuple] = field(default=None, compare=False, kw_only=True)
 
 
 @dataclass(frozen=True)
 class Or:
     left: object
     right: object
-    span: Optional[tuple] = field(default=None, compare=False, kw_only=True)
 
 
 @dataclass(frozen=True)
 class Implies:
     left: object
     right: object
-    span: Optional[tuple] = field(default=None, compare=False, kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -103,7 +96,6 @@ class ForallIn:
     var: str
     bound: Var
     body: object
-    span: Optional[tuple] = field(default=None, compare=False, kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -111,34 +103,29 @@ class ExistsIn:
     var: str
     bound: Var
     body: object
-    span: Optional[tuple] = field(default=None, compare=False, kw_only=True)
 
 
 @dataclass(frozen=True)
 class Forall:
     var: str
     body: object
-    span: Optional[tuple] = field(default=None, compare=False, kw_only=True)
 
 
 @dataclass(frozen=True)
 class Exists:
     var: str
     body: object
-    span: Optional[tuple] = field(default=None, compare=False, kw_only=True)
 
 
 CORE_NODES = (Eq, In, Not, And, ForallIn, Forall)
-SUGAR_NODES = (Or, Implies, ExistsIn, Exists)
 
 # The JSON name of each node kind. A node's JSON keys are its dataclass
-# fields (span aside): the name fields hold strings, every other field a
-# child node.
+# fields: the name fields hold strings, every other field a child node.
 _NODE_NAMES = {Var: "var", Eq: "eq", In: "in", Not: "not", And: "and", Or: "or",
               Implies: "implies", ForallIn: "forall_in", ExistsIn: "exists_in",
               Forall: "forall", Exists: "exists"}
 _NODE_CLASSES = {name: cls for cls, name in _NODE_NAMES.items()}
-_FIELDS = {cls: tuple(f.name for f in fields(cls) if f.name != "span") for cls in _NODE_NAMES}
+_FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in _NODE_NAMES}
 _NAME_FIELDS = ("name", "var")
 
 
@@ -158,7 +145,6 @@ _PUNCT = [("->", "ARROW"), ("~", "NOT"), ("&", "AND"), ("|", "OR"),
 class Token:
     kind: str
     text: str
-    pos: int
     line: int
     col: int
 
@@ -185,19 +171,19 @@ def tokenize(text: str) -> list:
                 j += 1
             word = text[i:j]
             kind = word.upper() if word in KEYWORDS else "IDENT"
-            tokens.append(Token(kind, word, i, line, col))
+            tokens.append(Token(kind, word, line, col))
             col += j - i
             i = j
             continue
         for punct, kind in _PUNCT:
             if text.startswith(punct, i):
-                tokens.append(Token(kind, punct, i, line, col))
+                tokens.append(Token(kind, punct, line, col))
                 i += len(punct)
                 col += len(punct)
                 break
         else:
             raise FormulaError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("EOF", "", n, line, col))
+    tokens.append(Token("EOF", "", line, col))
     return tokens
 
 
@@ -205,7 +191,6 @@ def tokenize(text: str) -> list:
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = tokenize(text)
         self.i = 0
 
@@ -235,54 +220,48 @@ class _Parser:
         left = self.or_level()
         if self.peek().kind == "ARROW":
             self.next()
-            right = self.formula()  # right associative
-            return Implies(left, right, span=_join(left, right))
+            return Implies(left, self.formula())  # right associative
         return left
 
     def or_level(self):
         out = self.and_level()
         while self.peek().kind == "OR":
             self.next()
-            rhs = self.and_level()
-            out = Or(out, rhs, span=_join(out, rhs))
+            out = Or(out, self.and_level())
         return out
 
     def and_level(self):
         out = self.unary()
         while self.peek().kind == "AND":
             self.next()
-            rhs = self.unary()
-            out = And(out, rhs, span=_join(out, rhs))
+            out = And(out, self.unary())
         return out
 
     def unary(self):
         tok = self.peek()
         if tok.kind == "NOT":
             self.next()
-            body = self.unary()
-            return Not(body, span=(tok.pos, _end(body)))
+            return Not(self.unary())
         if tok.kind in ("FORALL", "EXISTS"):
             return self.quantifier()
         return self.primary()
 
     def quantifier(self):
         head = self.next()
-        name_tok = self.expect("IDENT")
+        name = self.expect("IDENT").text
         bound = None
         if self.peek().kind == "IN":
             self.next()
-            bound_tok = self.expect("IDENT")
-            bound = Var(bound_tok.text, span=(bound_tok.pos, bound_tok.pos + len(bound_tok.text)))
+            bound = Var(self.expect("IDENT").text)
         self.expect("DOT")
         body = self.formula()  # maximally right
-        span = (head.pos, _end(body))
         if head.kind == "FORALL":
             if bound is None:
-                return Forall(name_tok.text, body, span=span)
-            return ForallIn(name_tok.text, bound, body, span=span)
+                return Forall(name, body)
+            return ForallIn(name, bound, body)
         if bound is None:
-            return Exists(name_tok.text, body, span=span)
-        return ExistsIn(name_tok.text, bound, body, span=span)
+            return Exists(name, body)
+        return ExistsIn(name, bound, body)
 
     def primary(self):
         tok = self.peek()
@@ -292,32 +271,14 @@ class _Parser:
             self.expect("RPAREN")
             return inner
         if tok.kind == "IDENT":
-            left_tok = self.next()
-            left = Var(left_tok.text, span=(left_tok.pos, left_tok.pos + len(left_tok.text)))
-            op = self.peek()
-            if op.kind == "EQ":
-                self.next()
-                right_tok = self.expect("IDENT")
-                right = Var(right_tok.text, span=(right_tok.pos, right_tok.pos + len(right_tok.text)))
-                return Eq(left, right, span=(left_tok.pos, _end(right)))
-            if op.kind == "IN":
-                self.next()
-                right_tok = self.expect("IDENT")
-                right = Var(right_tok.text, span=(right_tok.pos, right_tok.pos + len(right_tok.text)))
-                return In(left, right, span=(left_tok.pos, _end(right)))
-            raise FormulaError("expected '=' or 'in' after identifier", op.line, op.col)
+            left = Var(self.next().text)
+            op = self.next()
+            if op.kind not in ("EQ", "IN"):
+                raise FormulaError("expected '=' or 'in' after identifier", op.line, op.col)
+            right = Var(self.expect("IDENT").text)
+            return Eq(left, right) if op.kind == "EQ" else In(left, right)
         raise FormulaError(f"expected a formula, found {tok.text or 'end of input'!r}",
                            tok.line, tok.col)
-
-
-def _end(node) -> int:
-    return node.span[1] if getattr(node, "span", None) else 0
-
-
-def _join(a, b) -> Optional[tuple]:
-    if getattr(a, "span", None) and getattr(b, "span", None):
-        return (a.span[0], b.span[1])
-    return None
 
 
 def parse(text: str):
@@ -352,7 +313,7 @@ def to_text(node) -> str:
 
 def _print(node, ctx: int) -> str:
     """Parenthesize whenever this node binds weaker than the context needs,
-    so parse(to_text(f)) rebuilds f exactly (spans aside)."""
+    so parse(to_text(f)) rebuilds f exactly."""
     if isinstance(node, Var):
         return node.name
     if isinstance(node, Eq):
@@ -391,27 +352,27 @@ def desugar(node, trace: Optional[list] = None):
     if isinstance(node, (Eq, In)):
         return node
     if isinstance(node, Not):
-        return Not(recurse(node.body), span=node.span)
+        return Not(recurse(node.body))
     if isinstance(node, And):
-        return And(recurse(node.left), recurse(node.right), span=node.span)
+        return And(recurse(node.left), recurse(node.right))
     if isinstance(node, Or):
         _note(trace, "R5", node, "~(~phi & ~psi)")
-        return Not(And(Not(recurse(node.left)), Not(recurse(node.right))), span=node.span)
+        return Not(And(Not(recurse(node.left)), Not(recurse(node.right))))
     if isinstance(node, Implies):
         _note(trace, "sasaki", node, "~(phi & ~(phi & psi))")
         left = recurse(node.left)
         right = recurse(node.right)
-        return Not(And(left, Not(And(left, right))), span=node.span)
+        return Not(And(left, Not(And(left, right))))
     if isinstance(node, ForallIn):
-        return ForallIn(node.var, node.bound, recurse(node.body), span=node.span)
+        return ForallIn(node.var, node.bound, recurse(node.body))
     if isinstance(node, ExistsIn):
         _note(trace, "R6", node, "~ forall x in u . ~phi")
-        return Not(ForallIn(node.var, node.bound, Not(recurse(node.body))), span=node.span)
+        return Not(ForallIn(node.var, node.bound, Not(recurse(node.body))))
     if isinstance(node, Forall):
-        return Forall(node.var, recurse(node.body), span=node.span)
+        return Forall(node.var, recurse(node.body))
     if isinstance(node, Exists):
         _note(trace, "R7", node, "~ forall x . ~phi")
-        return Not(Forall(node.var, Not(recurse(node.body))), span=node.span)
+        return Not(Forall(node.var, Not(recurse(node.body))))
     raise FormulaError(f"cannot desugar {type(node).__name__}")
 
 
@@ -440,8 +401,8 @@ def free_variables(node, bound=frozenset()) -> set:
 class Environment:
     """Variable bindings plus the ambient fragment for unbounded quantifiers.
 
-    One EvalSession is shared through rebindings, so memoized membership and
-    equality values are reused across the whole evaluation.
+    One EvalSession serves the whole evaluation, so memoized membership and
+    equality values are reused across quantifier bindings.
     """
 
     def __init__(self, lattice, bindings=None, fragment: Optional[UniverseFragment] = None,
@@ -457,21 +418,6 @@ class Environment:
             if q.lattice != lattice:
                 raise FormulaError(f"binding {name!r} belongs to a different lattice")
 
-    def bound(self, name: str, value: QSet) -> "Environment":
-        child = Environment.__new__(Environment)
-        child.lattice = self.lattice
-        child.bindings = {**self.bindings, name: value}
-        child.fragment = self.fragment
-        child.session = self.session
-        child.notes = self.notes
-        return child
-
-    def resolve(self, var: Var) -> QSet:
-        q = self.bindings.get(var.name)
-        if q is None:
-            raise FormulaError(f"unbound identifier {var.name!r}")
-        return q
-
 
 def eval_formula(formula, env: Environment, trace: Optional[list] = None):
     """Truth value of a closed formula under the environment."""
@@ -485,26 +431,28 @@ def eval_core(core, free: AbstractSet[str], env: Environment, trace: Optional[li
     missing = free - set(env.bindings)
     if missing:
         raise FormulaError(f"unbound identifiers: {', '.join(sorted(missing))}")
-    return _eval(core, env, trace)
+    return _eval(core, env, env.bindings, trace)
 
 
-def _eval(node, env: Environment, trace):
+def _eval(node, env: Environment, scope: dict, trace):
+    """`scope` maps each variable in scope to its QSet: the environment's
+    bindings, then each enclosing quantifier's variable."""
     lat = env.lattice
     if isinstance(node, Eq):
-        rule, out = "R9", env.session.truth_equality(env.resolve(node.left),
-                                                     env.resolve(node.right))
+        rule, out = "R9", env.session.truth_equality(scope[node.left.name],
+                                                     scope[node.right.name])
     elif isinstance(node, In):
-        rule, out = "R8", env.session.truth_membership(env.resolve(node.left),
-                                                       env.resolve(node.right))
+        rule, out = "R8", env.session.truth_membership(scope[node.left.name],
+                                                       scope[node.right.name])
     elif isinstance(node, Not):
-        rule, out = "R1", lat.ortho(_eval(node.body, env, trace))
+        rule, out = "R1", lat.ortho(_eval(node.body, env, scope, trace))
     elif isinstance(node, And):
-        rule, out = "R2", lat.meet(_eval(node.left, env, trace), _eval(node.right, env, trace))
+        rule, out = "R2", lat.meet(_eval(node.left, env, scope, trace),
+                                   _eval(node.right, env, scope, trace))
     elif isinstance(node, ForallIn):
-        u = env.resolve(node.bound)
         rule, out = "R3", lat.big_meet(
-            lat.sasaki_arrow(value, _eval(node.body, env.bound(node.var, x), trace))
-            for x, value in u.entries
+            lat.sasaki_arrow(value, _eval(node.body, env, {**scope, node.var: x}, trace))
+            for x, value in scope[node.bound.name].entries
         )
     elif isinstance(node, Forall):
         if env.fragment is None:
@@ -515,7 +463,7 @@ def _eval(node, env: Environment, trace):
         if message not in env.notes:
             env.notes.append(message)
         rule, out = "R4", lat.big_meet(
-            _eval(node.body, env.bound(node.var, m), trace)
+            _eval(node.body, env, {**scope, node.var: m}, trace)
             for m in env.fragment
         )
     else:

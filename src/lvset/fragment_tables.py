@@ -34,7 +34,6 @@ from .universe import UniverseFragment
 class TruthTables:
     """Pairwise truth values over one fragment, as atom bitmasks."""
 
-    fragment: UniverseFragment
     atoms: int
     top: int
     fwd: np.ndarray  # fwd[u, v] = [[forall x in u . x in v]]
@@ -151,8 +150,7 @@ def boolean_truth_tables(fragment: UniverseFragment) -> TruthTables:
     if order != list(range(n)):
         back = np.argsort(order)
         fwd, mem, eq = (t[np.ix_(back, back)] for t in (fwd, mem, eq))
-    return TruthTables(fragment=fragment, atoms=lattice.atoms, top=top,
-                       fwd=fwd, mem=mem, eq=eq)
+    return TruthTables(atoms=lattice.atoms, top=top, fwd=fwd, mem=mem, eq=eq)
 
 
 def equivalence_labels(plane: np.ndarray) -> Optional[np.ndarray]:

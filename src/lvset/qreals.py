@@ -17,16 +17,16 @@ c·I vs d·I.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from . import exactmat as xm
 from .exactnum import GQ, format_rational, parse_entry, format_entry
-from .formula import Environment, eval_formula, parse
 from .lattice import Lattice, LatticeError, ProjectionLattice
 from .projections import Projection, SpectralData
-from .universe import make_qset, numerals
+from .universe import EvalSession, make_qset, numerals
 
 DECIMAL_NORM_TOLERANCE = 1e-9
 
@@ -64,31 +64,24 @@ class QReal:
                 return c
         raise LatticeError(f"{r} is not a grid point")
 
-    def refined(self, extra_points: Iterable) -> "QReal":
-        """Extend to a larger grid by the step rule E(r) = E(pred(r)).
+    def at(self, r) -> object:
+        """E(r) by the step rule: the cut at the largest grid point <= r, and
+        bottom below the grid.
 
-        Exact as long as the original grid contains every jump of the
-        spectral family, which qreal_from_spectral guarantees.
+        Exact as long as the grid contains every jump of the spectral family,
+        which qreal_from_spectral guarantees.
         """
+        k = bisect_right(self.grid, r)
+        return self.cuts[k - 1] if k else self.lattice.bottom()
+
+    def refined(self, extra_points: Iterable) -> "QReal":
+        """The same quantum real on a larger grid, its cuts read by `at`."""
         points = sorted(set(self.grid) | {Fraction(p) for p in extra_points})
-        cuts = []
-        for p in points:
-            value = self.lattice.bottom()
-            for g, c in zip(self.grid, self.cuts):
-                if g <= p:
-                    value = c
-                else:
-                    break
-            cuts.append(value)
-        return QReal(self.lattice, tuple(points), tuple(cuts))
+        return QReal(self.lattice, tuple(points), tuple(self.at(p) for p in points))
 
 
-def qreal_from_spectral(sd: SpectralData, grid: Sequence,
-                        lattice: Optional[ProjectionLattice] = None) -> QReal:
+def qreal_from_spectral(sd: SpectralData, grid: Sequence) -> QReal:
     """E(r) = sum of eigenprojections with eigenvalue <= r."""
-    lattice = lattice or ProjectionLattice(sd.dim)
-    if lattice.dim != sd.dim:
-        raise LatticeError("spectral data dimension does not match the lattice")
     points = sorted({Fraction(g) for g in grid})
     spectrum = sd.eigenvalues()
     for ev in spectrum:
@@ -101,14 +94,13 @@ def qreal_from_spectral(sd: SpectralData, grid: Sequence,
             if value <= r:
                 total = xm.mat_add(total, proj.matrix)
         cuts.append(Projection(total))
-    return QReal(lattice, tuple(points), tuple(cuts))
+    return QReal(ProjectionLattice(sd.dim), tuple(points), tuple(cuts))
 
 
-def common_grid(a: QReal, b: QReal) -> tuple:
+def _merged_grid(a: QReal, b: QReal) -> list:
     if a.lattice != b.lattice:
         raise LatticeError("quantum reals live in different lattices")
-    grid = sorted(set(a.grid) | set(b.grid))
-    return a.refined(grid), b.refined(grid)
+    return sorted(set(a.grid) | set(b.grid))
 
 
 def _biconditional(lat: Lattice, x, y):
@@ -116,20 +108,18 @@ def _biconditional(lat: Lattice, x, y):
 
 
 def truth_eq(a: QReal, b: QReal):
-    """[[a = b]]: pointwise biconditional meet over the common grid."""
-    a, b = common_grid(a, b)
+    """[[a = b]]: pointwise biconditional meet over the merged grid."""
     lat = a.lattice
     return lat.big_meet(
-        _biconditional(lat, ca, cb) for ca, cb in zip(a.cuts, b.cuts)
+        _biconditional(lat, a.at(r), b.at(r)) for r in _merged_grid(a, b)
     )
 
 
 def truth_leq(a: QReal, b: QReal):
-    """[[a <= b]]: cut containment, E_b(r) → E_a(r) met over the grid."""
-    a, b = common_grid(a, b)
+    """[[a <= b]]: cut containment, E_b(r) → E_a(r) met over the merged grid."""
     lat = a.lattice
     return lat.big_meet(
-        lat.sasaki_arrow(cb, ca) for ca, cb in zip(a.cuts, b.cuts)
+        lat.sasaki_arrow(b.at(r), a.at(r)) for r in _merged_grid(a, b)
     )
 
 
@@ -284,20 +274,19 @@ def qreal_as_qset(q: QReal):
 def real_predicate_truth(q: QReal):
     """[[R(u)]]: the cut is monotone along the grid and attains the top.
 
-    Rendered as a quantifier-free formula over numeral constants g0..g{n-1}
-    and evaluated by the formula module: monotonicity contributes
-    (gi in u -> gj in u) for every i < j, attainment contributes
-    (g0 in u | ... | g{n-1} in u).
+    With m_k = [[ǧk ∈ u]] evaluated in V^(L) over the qreal_as_qset
+    encoding, monotonicity is the meet of the Sasaki arrows m_i → m_j over
+    i < j and attainment is the join of all m_k. These are the values that
+    rules R1, R2, R5 and → give the formula
+    (g0 in u -> g1 in u) & ... & (g0 in u | ... | g{n-1} in u).
     """
-    u, numerals = qreal_as_qset(q)
-    n = len(numerals)
-    names = [f"g{k}" for k in range(n)]
-    conjuncts = [
-        f"(g{i} in u -> g{j} in u)"
-        for i in range(n)
-        for j in range(i + 1, n)
-    ]
-    conjuncts.append("(" + " | ".join(f"{name} in u" for name in names) + ")")
-    text = " & ".join(conjuncts)
-    env = Environment(q.lattice, {"u": u, **dict(zip(names, numerals))})
-    return eval_formula(parse(text), env)
+    u, nums = qreal_as_qset(q)
+    lat = q.lattice
+    session = EvalSession(lat)
+    m = [session.truth_membership(g, u) for g in nums]
+    monotone = lat.big_meet(
+        lat.sasaki_arrow(m[i], m[j])
+        for i in range(len(m))
+        for j in range(i + 1, len(m))
+    )
+    return lat.meet(monotone, lat.big_join(m))

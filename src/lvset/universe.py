@@ -45,12 +45,6 @@ class QSet:
     def domain(self) -> tuple:
         return tuple(k for k, _ in self.entries)
 
-    def value_of(self, key: "QSet"):
-        for k, v in self.entries:
-            if k is key:
-                return v
-        raise KeyError("key is not in this QSet's domain")
-
     def is_empty(self) -> bool:
         return not self.entries
 
@@ -95,7 +89,7 @@ def empty_qset(lattice: Lattice) -> QSet:
     return make_qset(lattice, ())
 
 
-def check_embed(a, lattice: Lattice, max_depth: int = DEFAULT_EMBED_DEPTH) -> QSet:
+def check_embed(a, lattice: Lattice) -> QSet:
     """The check-set ǎ of a hereditarily finite set given as nested lists.
 
     Every member gets truth value 1; structural duplicates share one handle,
@@ -105,8 +99,9 @@ def check_embed(a, lattice: Lattice, max_depth: int = DEFAULT_EMBED_DEPTH) -> QS
     cache: dict = {}
 
     def build(x, depth: int) -> QSet:
-        if depth > max_depth:
-            raise LatticeError(f"nesting depth exceeds the configured maximum {max_depth}")
+        if depth > DEFAULT_EMBED_DEPTH:
+            raise LatticeError(
+                f"nesting depth exceeds the configured maximum {DEFAULT_EMBED_DEPTH}")
         if not isinstance(x, (list, tuple, set, frozenset)):
             raise LatticeError(f"standard sets must be nested lists/tuples/sets, got {type(x).__name__}")
         members = [build(m, depth + 1) for m in x]

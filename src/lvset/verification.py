@@ -424,12 +424,13 @@ def transfer_suite(members: Sequence[QSet], lattice: Lattice,
     hereditary = {m: frozenset(hereditary_values((m,))) for m in members}
     sweeps = []
     for schema in THEOREM_SCHEMAS:
-        tuples = list(itertools.product(members, repeat=schema.arity))
-        coverage = "all tuples"
-        if max_tuples_per_schema is not None and len(tuples) > max_tuples_per_schema:
-            tuples = [tuple(rng.choice(members) for _ in range(schema.arity))
-                      for _ in range(max_tuples_per_schema)]
-            coverage = "sampled tuples"
+        count = len(members) ** schema.arity
+        if max_tuples_per_schema is not None and count > max_tuples_per_schema:
+            tuples = _sample_tuples(rng, members, schema.arity, max_tuples_per_schema)
+            count, coverage = len(tuples), "sampled tuples"
+        else:
+            tuples = itertools.product(members, repeat=schema.arity)
+            coverage = "all tuples"
         passed = True
         witness = None
         for args in tuples:
@@ -440,7 +441,7 @@ def transfer_suite(members: Sequence[QSet], lattice: Lattice,
                 passed = False
                 witness = inst.serialize()
                 break
-        sweeps.append(SchemaSweep(schema.name, coverage, len(tuples), passed, witness))
+        sweeps.append(SchemaSweep(schema.name, coverage, count, passed, witness))
 
     return SuiteReport("transfer", lattice.describe(), sweeps)
 

@@ -79,9 +79,11 @@ def test_eval_trace_and_json(session, capsys):
     # unbound identifier: usage error
     code, out, err = run(capsys, "eval", "nosuch in u", "--session", session)
     assert code == 2
-    # parse error
+    # parse error: one `error:` line, like every other usage error
     code, out, err = run(capsys, "eval", "e in in u", "--session", session)
     assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_eval_closed_formula_needs_lattice(session, capsys):

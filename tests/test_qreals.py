@@ -6,15 +6,16 @@ from fractions import Fraction
 import pytest
 
 from lvset.exactnum import GQ, gq
-from lvset.generators import (random_commuting_pair, random_spectral_data,
-                              random_state_vector)
-from lvset.lattice import ProjectionLattice
+from lvset.formula import Environment, eval_formula, parse
+from lvset.generators import (random_commuting_pair, random_projection,
+                              random_spectral_data, random_state_vector)
+from lvset.lattice import BooleanLattice, ProjectionLattice
 from lvset.projections import (LatticeError, Projection, SpectralData,
                                identity_projection, proj_from_span,
                                zero_projection)
 from lvset.qreals import (ProbabilityResult, QReal, StateVector,
                           born_probability, classical_equal_value_probability,
-                          common_grid, format_probability, observational_atom,
+                          format_probability, observational_atom,
                           prob_equal, qreal_as_qset, qreal_from_spectral,
                           real_predicate_truth, spectral_commutes, truth_eq,
                           truth_leq)
@@ -268,3 +269,132 @@ def test_qreal_as_qset_membership_values():
     # [[numeral_k in u]] is exactly the k-th cut
     for k, numeral in enumerate(numerals):
         assert truth_membership(numeral, u) == q.cuts[k]
+
+
+# ------------------------------------------- oracles: the earlier routes
+
+def _refined_copy(q, points):
+    """The step-rule refinement as a separate validated QReal."""
+    cuts = []
+    for p in points:
+        value = q.lattice.bottom()
+        for g, c in zip(q.grid, q.cuts):
+            if g <= p:
+                value = c
+            else:
+                break
+        cuts.append(value)
+    return QReal(q.lattice, tuple(points), tuple(cuts))
+
+
+def _refined_pair(a, b):
+    grid = sorted(set(a.grid) | set(b.grid))
+    return _refined_copy(a, grid), _refined_copy(b, grid)
+
+
+def _truth_eq_oracle(a, b):
+    a, b = _refined_pair(a, b)
+    lat = a.lattice
+    return lat.big_meet(lat.join(lat.meet(x, y), lat.meet(lat.ortho(x), lat.ortho(y)))
+                        for x, y in zip(a.cuts, b.cuts))
+
+
+def _truth_leq_oracle(a, b):
+    a, b = _refined_pair(a, b)
+    lat = a.lattice
+    return lat.big_meet(lat.sasaki_arrow(y, x) for x, y in zip(a.cuts, b.cuts))
+
+
+def _real_predicate_oracle(q):
+    """R(u) rendered as formula text and evaluated by the formula module."""
+    u, nums = qreal_as_qset(q)
+    names = [f"g{k}" for k in range(len(nums))]
+    conjuncts = [f"(g{i} in u -> g{j} in u)"
+                 for i in range(len(nums)) for j in range(i + 1, len(nums))]
+    conjuncts.append("(" + " | ".join(f"{name} in u" for name in names) + ")")
+    env = Environment(q.lattice, {"u": u, **dict(zip(names, nums))})
+    return eval_formula(parse(" & ".join(conjuncts)), env)
+
+
+def _observable(rng, dim, values):
+    """A random observable with the given eigenvalues, one per eigenspace."""
+    shape = random_spectral_data(rng, dim, n_eigenvalues=len(values))
+    return SpectralData(dim=dim, eigen=tuple(
+        (Fraction(v), p) for v, (_, p) in zip(sorted(values), shape.eigen)))
+
+
+def test_truth_eq_and_leq_match_refined_copies_on_disjoint_grids():
+    rng = random.Random(91)
+    for _ in range(24):
+        dim = rng.randint(2, 3)
+        k = rng.randint(1, dim)
+        evens = rng.sample(range(-8, 9, 2), k + 2)
+        odds = rng.sample(range(-9, 9, 2), k + 2)
+        a = qreal_from_spectral(_observable(rng, dim, evens[:k]), evens)
+        b = qreal_from_spectral(_observable(rng, dim, odds[:k]), odds)
+        assert not set(a.grid) & set(b.grid)
+        assert truth_eq(a, b) == _truth_eq_oracle(a, b)
+        assert truth_eq(b, a) == _truth_eq_oracle(b, a)
+        assert truth_leq(a, b) == _truth_leq_oracle(a, b)
+        assert truth_leq(b, a) == _truth_leq_oracle(b, a)
+
+
+def test_truth_eq_rejects_reals_of_different_lattices():
+    a = qreal_from_spectral(diag_observable([1, 2]), [1, 2])
+    b = qreal_from_spectral(diag_observable([1, 2, 3]), [1, 2, 3])
+    with pytest.raises(LatticeError, match="different lattices"):
+        truth_eq(a, b)
+    with pytest.raises(LatticeError, match="different lattices"):
+        truth_leq(a, b)
+
+
+def test_at_reads_the_step_rule():
+    q = qreal_from_spectral(diag_observable([1, 3]), [1, 3])
+    assert q.at(Fraction(1, 2)) == zero_projection(2)
+    assert q.at(1) == q.at(2) == q.cut(1)
+    assert q.at(3) == q.at(100) == identity_projection(2)
+
+
+def _cut_family(lattice, grid, cuts):
+    """A QReal-shaped cut family without the monotone/top validation:
+    R(u) is 1 on every valid quantum real, so only arbitrary families tell
+    two ways of computing it apart."""
+    q = object.__new__(QReal)
+    object.__setattr__(q, "lattice", lattice)
+    object.__setattr__(q, "grid", tuple(Fraction(g) for g in grid))
+    object.__setattr__(q, "cuts", tuple(cuts))
+    return q
+
+
+def test_real_predicate_matches_the_formula_route():
+    rng = random.Random(92)
+    values_seen = set()
+    for _ in range(30):
+        dim = rng.randint(2, 3)
+        lat = ProjectionLattice(dim)
+        n = rng.randint(1, 12)
+        if rng.random() < 0.5:
+            sd = random_spectral_data(rng, dim)
+            q = qreal_from_spectral(sd, sd.eigenvalues()).refined(
+                rng.sample(range(-20, 20), n - 1))
+        else:
+            q = _cut_family(lat, range(n), [random_projection(rng, dim) for _ in range(n)])
+        got = real_predicate_truth(q)
+        assert got == _real_predicate_oracle(q)
+        values_seen.add(got == q.lattice.top())
+    assert values_seen == {True, False}
+
+
+def test_real_predicate_on_long_grids():
+    # 60 half-integer points besides the spectrum, in the projection lattice
+    sd = random_spectral_data(random.Random(93), 2, n_eigenvalues=2)
+    q = qreal_from_spectral(sd, sd.eigenvalues()).refined(
+        Fraction(2 * k + 1, 2) for k in range(-30, 30))
+    assert len(q.grid) >= 60
+    assert real_predicate_truth(q) == q.lattice.top()
+    # 122 points over a Boolean lattice: the same recursion depth at a
+    # fraction of the cost, under the default recursion limit
+    lat = BooleanLattice(2)
+    cuts = [0] * 40 + [lat.atom(0)] * 40 + [lat.top()] * 42
+    q = QReal(lat, tuple(range(122)), tuple(cuts))
+    assert real_predicate_truth(q) == lat.top()

@@ -194,6 +194,29 @@ def test_transfer_suite_walks_each_member_once(monkeypatch):
     assert suite.to_json() == _transfer_suite_per_tuple(members, lat).to_json()
 
 
+def test_sampled_transfer_suite_builds_only_its_sample():
+    import tracemalloc
+    from lvset.generators import random_qset_pool
+    lat, p, q = dim2_lattice()
+    members = random_qset_pool(random.Random(5), lat,
+                               [lat.bottom(), p, q, lat.top()], 80)
+    tracemalloc.start()
+    try:
+        suite = transfer_suite(members, lat, rng=random.Random(1),
+                               max_tuples_per_schema=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # all 80³ triples as a list would take tens of MB
+    assert peak < 4_000_000
+    assert suite.passed()
+    for schema, sweep in zip(THEOREM_SCHEMAS, suite.sweeps):
+        if schema.arity == 0:
+            assert (sweep.coverage, sweep.instances) == ("all tuples", 1)
+        else:
+            assert (sweep.coverage, sweep.instances) == ("sampled tuples", 10)
+
+
 def _transfer_suite_per_tuple(members, lat):
     """transfer_suite with qset_commutator taken per tuple, as an oracle."""
     import itertools
