@@ -189,7 +189,17 @@ def tokenize(text: str) -> list:
 
 # ------------------------------------------------------------------- parser
 
+MAX_DEPTH = 100
+
+
 class _Parser:
+    """Recursive descent that measures nesting as it goes. Each method gets
+    the depth of the construct it parses and returns (node, height); each
+    ~, quantifier, pair of parentheses and each link of an &, | or -> chain
+    is one level. A formula nested more than MAX_DEPTH levels deep is
+    refused here, before this parser or any later recursive pass (desugar,
+    free_variables, evaluation, printing) can run out of stack."""
+
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.i = 0
@@ -209,44 +219,54 @@ class _Parser:
                                tok.line, tok.col)
         return self.next()
 
+    def within(self, depth: int, tok: Token) -> None:
+        if depth > MAX_DEPTH:
+            raise FormulaError(f"formula nested more than {MAX_DEPTH} levels deep",
+                               tok.line, tok.col)
+
     def parse(self):
-        f = self.formula()
+        f, _ = self.formula(0)
         tok = self.peek()
         if tok.kind != "EOF":
             raise FormulaError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
         return f
 
-    def formula(self):
-        left = self.or_level()
+    def formula(self, depth: int):
+        left, height = self.chain(depth, "OR", Or, self.and_level)
         if self.peek().kind == "ARROW":
-            self.next()
-            return Implies(left, self.formula())  # right associative
-        return left
+            tok = self.next()
+            right, right_height = self.formula(depth + 1)  # right associative
+            height = 1 + max(height, right_height)
+            self.within(depth + height, tok)
+            return Implies(left, right), height
+        return left, height
 
-    def or_level(self):
-        out = self.and_level()
-        while self.peek().kind == "OR":
-            self.next()
-            out = Or(out, self.and_level())
-        return out
+    def and_level(self, depth: int):
+        return self.chain(depth, "AND", And, self.unary)
 
-    def and_level(self):
-        out = self.unary()
-        while self.peek().kind == "AND":
-            self.next()
-            out = And(out, self.unary())
-        return out
+    def chain(self, depth: int, kind: str, node, operand):
+        """operand (kind operand)*, built left-deep: each link puts every
+        earlier operand one level deeper."""
+        out, height = operand(depth)
+        while self.peek().kind == kind:
+            tok = self.next()
+            right, right_height = operand(depth + 1)
+            out, height = node(out, right), 1 + max(height, right_height)
+            self.within(depth + height, tok)
+        return out, height
 
-    def unary(self):
+    def unary(self, depth: int):
         tok = self.peek()
+        self.within(depth, tok)
         if tok.kind == "NOT":
             self.next()
-            return Not(self.unary())
+            body, height = self.unary(depth + 1)
+            return Not(body), height + 1
         if tok.kind in ("FORALL", "EXISTS"):
-            return self.quantifier()
-        return self.primary()
+            return self.quantifier(depth)
+        return self.primary(depth)
 
-    def quantifier(self):
+    def quantifier(self, depth: int):
         head = self.next()
         name = self.expect("IDENT").text
         bound = None
@@ -254,35 +274,34 @@ class _Parser:
             self.next()
             bound = Var(self.expect("IDENT").text)
         self.expect("DOT")
-        body = self.formula()  # maximally right
+        body, height = self.formula(depth + 1)  # maximally right
         if head.kind == "FORALL":
-            if bound is None:
-                return Forall(name, body)
-            return ForallIn(name, bound, body)
-        if bound is None:
-            return Exists(name, body)
-        return ExistsIn(name, bound, body)
+            node = Forall(name, body) if bound is None else ForallIn(name, bound, body)
+        else:
+            node = Exists(name, body) if bound is None else ExistsIn(name, bound, body)
+        return node, height + 1
 
-    def primary(self):
+    def primary(self, depth: int):
         tok = self.peek()
         if tok.kind == "LPAREN":
             self.next()
-            inner = self.formula()
+            inner, height = self.formula(depth + 1)
             self.expect("RPAREN")
-            return inner
+            return inner, height + 1
         if tok.kind == "IDENT":
             left = Var(self.next().text)
             op = self.next()
             if op.kind not in ("EQ", "IN"):
                 raise FormulaError("expected '=' or 'in' after identifier", op.line, op.col)
             right = Var(self.expect("IDENT").text)
-            return Eq(left, right) if op.kind == "EQ" else In(left, right)
+            return (Eq(left, right) if op.kind == "EQ" else In(left, right)), 0
         raise FormulaError(f"expected a formula, found {tok.text or 'end of input'!r}",
                            tok.line, tok.col)
 
 
 def parse(text: str):
-    """Parse one formula; raises FormulaError with line/column on bad input."""
+    """Parse one formula; raises FormulaError with line/column on bad input,
+    a formula nested more than MAX_DEPTH levels deep included."""
     return _Parser(text).parse()
 
 

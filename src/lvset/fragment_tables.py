@@ -10,7 +10,11 @@ the tables replace |F|³ evaluator calls with O(|F|²) vector work.
 The tables are filled one (rank, rank) block at a time in rank-sum order.
 With members in rank order every rank layer is a contiguous slice, and
 with domains padded into (n × K) index and value arrays each block costs
-O(K) whole-array numpy calls, K the widest domain in the layer.
+O(K) numpy calls per tile of at most ROW_TILE rows, K the widest domain
+in the layer. The build and the sweeps below work in such tiles too, so
+FWD, MEM and EQ (3·|F|² bytes) are the only |F| × |F| arrays they make,
+apart from one table at a time when the tables of a fragment whose
+members are not in rank order are put back in its order.
 
 Soundness of the plane reductions: a Boolean truth value equals 1 exactly
 when its restriction to every atom plane is classically true, so
@@ -41,18 +45,41 @@ class TruthTables:
     eq: np.ndarray   # eq[u, v] = [[u = v]]
     _labels: Optional[list] = field(default=None, init=False, repr=False, compare=False)
 
-    def plane(self, table: np.ndarray, atom: int) -> np.ndarray:
-        out = table >> atom
-        out &= 1
-        return out
-
     def eq_labels(self) -> list:
         """equivalence_labels of each EQ plane, atom by atom, computed on
         first use; the transitivity and substitutivity checks both read them."""
         if self._labels is None:
-            self._labels = [equivalence_labels(self.plane(self.eq, atom))
+            self._labels = [equivalence_labels(self.eq, atom)
                             for atom in range(self.atoms)]
         return self._labels
+
+
+def plane(table: np.ndarray, atom: int) -> np.ndarray:
+    """The 0/1 relation of one atom plane of a bitmask table (or of a tile of it)."""
+    out = table >> atom
+    out &= 1
+    return out
+
+
+ROW_TILE = 256
+
+
+def row_tiles(start: int, stop: int):
+    """Consecutive slices of at most ROW_TILE rows covering start..stop."""
+    for lo in range(start, stop, ROW_TILE):
+        yield slice(lo, min(lo + ROW_TILE, stop))
+
+
+def first_nonzero(n: int, mask_rows) -> Optional[tuple]:
+    """First nonzero (row, column) in row-major order of an n-row mask that
+    is never built whole: mask_rows(rows) gives the rows of one row tile.
+    Tiles are scanned in order and the scan stops at the first bad one."""
+    for rows in row_tiles(0, n):
+        mask = mask_rows(rows)
+        if mask.any():
+            i, j = np.argwhere(mask)[0]
+            return rows.start + int(i), int(j)
+    return None
 
 
 TRANSPOSE_TILE = 256
@@ -82,7 +109,7 @@ def boolean_truth_tables(fragment: UniverseFragment) -> TruthTables:
     layer is a contiguous slice. Domains are padded to the widest one in
     their layer as (n × K) index and value arrays; a padded entry has value
     0, which changes neither the AND of FWD nor the OR of MEM. Each block
-    then costs O(K) whole-array numpy calls.
+    then costs O(K) numpy calls per row tile (per column tile for MEM).
     """
     lattice = fragment.lattice
     if not isinstance(lattice, BooleanLattice):
@@ -121,62 +148,75 @@ def boolean_truth_tables(fragment: UniverseFragment) -> TruthTables:
         blocks = pairs_by_sum[s]
         # forward inclusion first: depends on mem entries of smaller rank sum
         for ra, rb in blocks:
-            (rows, k_rows), (cols, _) = layers[ra], layers[rb]
-            acc = fwd[rows, cols]
-            acc.fill(top)
-            for k in range(k_rows):
-                term = mem[dom_idx[rows, k], cols]
-                term |= (top ^ dom_val[rows, k])[:, None]
-                acc &= term
-                del term  # free it before the next gather
+            (block_rows, k_rows), (cols, _) = layers[ra], layers[rb]
+            for rows in row_tiles(block_rows.start, block_rows.stop):
+                acc = fwd[rows, cols]
+                acc.fill(top)
+                for k in range(k_rows):
+                    term = mem[dom_idx[rows, k], cols]
+                    term |= (top ^ dom_val[rows, k])[:, None]
+                    acc &= term
         # equality: both forward directions of this same rank sum
         for ra, rb in blocks:
             rows, cols = layers[ra][0], layers[rb][0]
             block = transposed(fwd[cols, rows], out=eq[rows, cols])
             block &= fwd[rows, cols]
         # membership: depends on equality entries of smaller rank sum. EQ is
-        # symmetric, so the block is built transposed from rows of EQ.
+        # symmetric, so each column tile of the block is built transposed
+        # from rows of EQ.
         for ra, rb in blocks:
-            (rows, _), (cols, k_cols) = layers[ra], layers[rb]
-            acc = np.zeros((cols.stop - cols.start, rows.stop - rows.start), dtype=np.uint8)
-            for k in range(k_cols):
-                term = eq[dom_idx[cols, k], rows]
-                term &= dom_val[cols, k][:, None]
-                acc |= term
-                del term
-            transposed(acc, out=mem[rows, cols])
-            del acc
+            (rows, _), (block_cols, k_cols) = layers[ra], layers[rb]
+            for cols in row_tiles(block_cols.start, block_cols.stop):
+                acc = np.zeros((cols.stop - cols.start, rows.stop - rows.start), dtype=np.uint8)
+                for k in range(k_cols):
+                    term = eq[dom_idx[cols, k], rows]
+                    term &= dom_val[cols, k][:, None]
+                    acc |= term
+                transposed(acc, out=mem[rows, cols])
 
     if order != list(range(n)):
-        back = np.argsort(order)
-        fwd, mem, eq = (t[np.ix_(back, back)] for t in (fwd, mem, eq))
+        inverse = np.argsort(order)
+        back = np.ix_(inverse, inverse)
+        fwd = fwd[back]  # one table at a time, each old one freed at once
+        mem = mem[back]
+        eq = eq[back]
     return TruthTables(atoms=lattice.atoms, top=top, fwd=fwd, mem=mem, eq=eq)
 
 
-def equivalence_labels(plane: np.ndarray) -> Optional[np.ndarray]:
-    """Class labels if the reflexive symmetric 0/1 relation is transitive,
-    else None. label[u] = least related index; the relation is an
-    equivalence exactly when it equals the label-agreement relation."""
-    labels = np.argmax(plane, axis=1)
-    differs = labels[:, None] == labels[None, :]
-    np.not_equal(plane, differs, out=differs)
-    return None if differs.any() else labels
+def equivalence_labels(table: np.ndarray, atom: int = 0) -> Optional[np.ndarray]:
+    """Class labels if the reflexive symmetric relation on one atom plane of
+    the table is transitive, else None. label[u] = least related index; the
+    relation is an equivalence exactly when it equals the label-agreement
+    relation. The plane is cut one row tile at a time, once for the labels
+    and once to compare."""
+    n = len(table)
+    labels = np.empty(n, dtype=np.intp)
+    for rows in row_tiles(0, n):
+        labels[rows] = np.argmax(plane(table[rows], atom), axis=1)
+    for rows in row_tiles(0, n):
+        differs = labels[rows, None] == labels[None, :]
+        np.not_equal(plane(table[rows], atom), differs, out=differs)
+        if differs.any():
+            return None
+    return labels
 
 
-def find_transitivity_counterexample(plane: np.ndarray) -> Optional[tuple]:
-    """A triple (u, v, w) with u~v and v~w but not u~w, if one exists."""
-    if equivalence_labels(plane) is not None:
-        return None
-    n = len(plane)
-    for u in range(n):
-        related = plane[u].astype(bool)
+def find_transitivity_counterexample(table: np.ndarray, atom: int = 0) -> Optional[tuple]:
+    """A triple (u, v, w) with u~v and v~w but not u~w on one atom plane of
+    the table, if one exists; callers search once equivalence_labels came
+    back None. The rows related to u are read one tile at a time."""
+    for u in range(len(table)):
+        related = plane(table[u], atom).astype(bool)
         # any v ~ u whose row covers something u's row misses
-        reach = plane[related].astype(bool).any(axis=0)
+        reach = np.zeros_like(related)
+        vs = np.flatnonzero(related)
+        for chunk in row_tiles(0, len(vs)):
+            reach |= plane(table[vs[chunk]], atom).any(axis=0)
         gaps = reach & ~related
         if gaps.any():
             w = int(np.argmax(gaps))
-            vs = np.nonzero(related & plane[:, w].astype(bool))[0]
-            return (u, int(vs[0]), w)
+            via = np.nonzero(related & plane(table[:, w], atom).astype(bool))[0]
+            return (u, int(via[0]), w)
     return None
 
 
@@ -185,7 +225,7 @@ def check_transitivity_everywhere(tables: TruthTables) -> Optional[tuple]:
     index witness. Per-plane equivalence is exactly this statement."""
     for atom, labels in enumerate(tables.eq_labels()):
         if labels is None:
-            witness = find_transitivity_counterexample(tables.plane(tables.eq, atom))
+            witness = find_transitivity_counterexample(tables.eq, atom)
             if witness is not None:
                 return witness
     return None
@@ -197,32 +237,33 @@ def check_substitutivity_everywhere(tables: TruthTables) -> Optional[tuple]:
     all triples. Reduces to membership rows/columns being constant on the
     equality classes of every plane. Returns (kind, u, v, w) on failure.
 
-    Columns are compared as rows of the transposed plane, which is one
-    contiguous copy instead of a column gather; witnesses are searched
-    only once a mask is known to hold a bad entry."""
+    Each plane is scanned one row tile at a time: membership-left compares
+    rows with their class label's row in (u, w) order, membership-right
+    compares columns with their class label's column in (w, u) order,
+    through one column take per tile."""
+    mem, n = tables.mem, len(tables.mem)
     for atom, labels in enumerate(tables.eq_labels()):
         if labels is None:
-            triple = find_transitivity_counterexample(tables.plane(tables.eq, atom))
+            triple = find_transitivity_counterexample(tables.eq, atom)
             return ("transitivity", *triple)
-        mem_plane = tables.plane(tables.mem, atom)
-        bad = mem_plane != mem_plane[labels]
-        if bad.any():
-            u, w = (int(x) for x in np.argwhere(bad)[0])
+        hit = first_nonzero(n, lambda rows: plane(mem[rows], atom)
+                            != plane(mem[labels[rows]], atom))
+        if hit is not None:
+            u, w = hit
             v = int(labels[u])
-            if not mem_plane[u, w]:  # orient so the first set is the member
+            if not plane(mem[u, w], atom):  # orient so the first set is the member
                 u, v = v, u
             return ("membership-left", u, v, w)
-        del bad
-        # mem_t[u, w] = [[w in u]] on this plane
-        mem_t = transposed(mem_plane)
-        del mem_plane
-        bad = mem_t != mem_t[labels]
-        if bad.any():
-            # scan in (w, u) order, as a column sweep of the plane would
-            w, u = (int(x) for x in np.argwhere(bad.T)[0])
+
+        def column_differs(rows):
+            tile = plane(mem[rows], atom)  # tile[w, u] = [[w in u]] on this plane
+            return tile != np.take(tile, labels, axis=1)
+
+        hit = first_nonzero(n, column_differs)
+        if hit is not None:
+            w, u = hit
             v = int(labels[u])
-            if not mem_t[u, w]:
+            if not plane(mem[w, u], atom):
                 u, v = v, u
             return ("membership-right", u, v, w)
-        del mem_t, bad  # before the next plane is cut
     return None

@@ -282,14 +282,6 @@ def _sample_tuples(rng: random.Random, members: Sequence[QSet], arity: int,
     return [tuple(rng.choice(members) for _ in range(arity)) for _ in range(count)]
 
 
-def _first_nonzero(mask: np.ndarray) -> Optional[tuple]:
-    """Index of the first nonzero entry in row-major order, or None. The
-    full scan for indices runs only once a nonzero entry is known."""
-    if not mask.any():
-        return None
-    return tuple(int(x) for x in np.argwhere(mask)[0])
-
-
 def scott_solovay_suite(fragment: UniverseFragment,
                         cross_check: int = DEFAULT_CROSS_CHECK,
                         rng: Optional[random.Random] = None) -> SuiteReport:
@@ -321,8 +313,9 @@ def scott_solovay_suite(fragment: UniverseFragment,
                                   (members[i],)).serialize()
     sweeps.append(SchemaSweep("eq-reflexivity", "all members", n, refl_ok, witness))
 
-    # eq-symmetry over all pairs: ~(eq & ~eq.T) must be top
-    i_j = _first_nonzero(eq & (top ^ ft.transposed(eq)))
+    # eq-symmetry over all pairs: ~(eq & ~eq.T) must be top. The sweeps
+    # below read the tables one row tile at a time (eq.T from column slabs).
+    i_j = ft.first_nonzero(n, lambda rows: eq[rows] & (top ^ ft.transposed(eq[:, rows])))
     witness = None
     if i_j is not None:
         witness = TheoremInstance(CATALOG_BY_NAME["eq-symmetry"], lattice,
@@ -343,7 +336,8 @@ def scott_solovay_suite(fragment: UniverseFragment,
     # extensionality over all pairs: the inclusion conjunction is the
     # equality value itself, so ~(that & ~eq) is top exactly when the
     # tables agree.
-    i_j = _first_nonzero((fwd & ft.transposed(fwd)) & (top ^ eq))
+    i_j = ft.first_nonzero(n, lambda rows: fwd[rows] & ft.transposed(fwd[:, rows])
+                           & (top ^ eq[rows]))
     witness = None
     if i_j is not None:
         witness = TheoremInstance(CATALOG_BY_NAME["extensionality"], lattice,
@@ -354,8 +348,9 @@ def scott_solovay_suite(fragment: UniverseFragment,
     # and-weakening over all triples: the inner conjunction contains
     # mem & ~mem, which vanishes bitwise on every pair regardless of the
     # third argument.
+    i_j = ft.first_nonzero(n, lambda rows: mem[rows] & (top ^ mem[rows]))
     sweeps.append(SchemaSweep("and-weakening", "all triples (vanishing core)",
-                              n ** 3, _first_nonzero(mem & (top ^ mem)) is None))
+                              n ** 3, i_j is None))
 
     # empty-set: a single closed instance
     inst = TheoremInstance(CATALOG_BY_NAME["empty-set"], lattice, ())

@@ -86,6 +86,18 @@ def test_eval_trace_and_json(session, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("formula", [
+    "~" * 1000 + "e = e",
+    " & ".join(["e = e"] * 700),
+], ids=["1000-negations", "700-conjuncts"])
+def test_eval_refuses_formulas_nested_too_deep(session, capsys, formula):
+    run(capsys, "lattice", "B", "--boolean", "1", "--session", session)
+    run(capsys, "set", "e", "--lattice", "B", "--empty", "--session", session)
+    code, out, err = run(capsys, "eval", formula, "--session", session)
+    assert code == 2 and out == ""
+    assert "nested more than 100 levels deep" in _one_line_error(err)
+
+
 def test_eval_closed_formula_needs_lattice(session, capsys):
     run(capsys, "lattice", "B", "--boolean", "1", "--session", session)
     code, out, err = run(capsys, "eval", "forall t . t = t", "--session", session)

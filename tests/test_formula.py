@@ -2,9 +2,9 @@
 
 import pytest
 
-from lvset.formula import (And, Environment, Eq, Exists, ExistsIn, Forall,
-                           ForallIn, FormulaError, Implies, In, Not, Or, Var,
-                           desugar, eval_formula, formula_from_json,
+from lvset.formula import (MAX_DEPTH, And, Environment, Eq, Exists, ExistsIn,
+                           Forall, ForallIn, FormulaError, Implies, In, Not,
+                           Or, Var, desugar, eval_formula, formula_from_json,
                            formula_to_json, free_variables, is_core, parse,
                            parse_formula_lines, to_text)
 from lvset.exactnum import gq
@@ -128,6 +128,51 @@ def test_eval_boolean_basics():
     # excluded middle in the lattice sense
     got = eval_formula(parse("~(e in s & ~e in s)"), env)
     assert got == lat.top()
+
+
+NESTINGS = {
+    "not": lambda k: "~" * k + "e = e",
+    "and": lambda k: " & ".join(["e = e"] * (k + 1)),
+    "or": lambda k: " | ".join(["e in s"] * (k + 1)),
+    "implies": lambda k: " -> ".join(["e in s"] * (k + 1)),
+    "parens": lambda k: "(" * k + "e = e" + ")" * k,
+    "exists": lambda k: "exists t in s . " * k + "t = e",
+    "forall-parens": lambda k: ("forall t in s . (" * (k // 2) + "~" * (k % 2) + "t = e"
+                                + ")" * (k // 2)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NESTINGS))
+def test_formulas_at_the_depth_limit_evaluate(kind):
+    # the deepest accepted formula of each kind goes through every
+    # recursive pass: parse, desugar, free_variables, evaluation, printing
+    lat = BooleanLattice(2)
+    e = empty_qset(lat)
+    s = make_qset(lat, [(e, lat.atom(0))])
+    env = Environment(lat, bindings={"e": e, "s": s})
+    node = parse(NESTINGS[kind](MAX_DEPTH))
+    assert parse(to_text(node)) == node
+    assert free_variables(desugar(node)) <= {"e", "s"}
+    trace = []
+    assert eval_formula(node, env, trace) in lat.elements()
+    assert trace
+
+
+@pytest.mark.parametrize("kind", sorted(NESTINGS))
+def test_formulas_past_the_depth_limit_are_refused(kind):
+    with pytest.raises(FormulaError, match=f"nested more than {MAX_DEPTH} levels"):
+        parse(NESTINGS[kind](MAX_DEPTH + 1))
+    with pytest.raises(FormulaError, match=f"nested more than {MAX_DEPTH} levels"):
+        parse(NESTINGS[kind](10 * MAX_DEPTH))
+
+
+def test_chain_depth_counts_the_deepest_operand():
+    # a left-deep chain puts its first operand deepest, so a nested first
+    # operand uses up the levels the links leave
+    chain = " & ".join(["e = e"] * (MAX_DEPTH // 2))
+    parse("~" * (MAX_DEPTH // 2) + "e = e & " + chain)
+    with pytest.raises(FormulaError, match="nested more than"):
+        parse("~" * (MAX_DEPTH // 2 + 1) + "e = e & " + chain)
 
 
 def test_eval_bounded_quantifiers():

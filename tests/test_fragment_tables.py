@@ -5,12 +5,12 @@ import random
 import numpy as np
 import pytest
 
-from lvset.fragment_tables import (boolean_truth_tables,
+from lvset.fragment_tables import (ROW_TILE, TruthTables, boolean_truth_tables,
                                    check_substitutivity_everywhere,
                                    check_transitivity_everywhere,
                                    equivalence_labels,
                                    find_transitivity_counterexample,
-                                   transposed)
+                                   plane, transposed)
 from lvset.formula import Environment, eval_formula, parse
 from lvset.generators import random_qset_pool
 from lvset.lattice import BooleanLattice, LatticeError, ProjectionLattice
@@ -84,7 +84,7 @@ def test_eq_planes_are_equivalences():
     frag = enumerate_fragment(lat, 3)
     ft = boolean_truth_tables(frag)
     for atom in range(ft.atoms):
-        assert equivalence_labels(ft.plane(ft.eq, atom)) is not None
+        assert equivalence_labels(ft.eq, atom) is not None
     assert check_transitivity_everywhere(ft) is None
     assert check_substitutivity_everywhere(ft) is None
 
@@ -126,7 +126,7 @@ def test_tampered_membership_table_is_caught():
     lat = BooleanLattice(1)
     frag = enumerate_fragment(lat, 3)
     ft = boolean_truth_tables(frag)
-    eq_plane = ft.plane(ft.eq, 0)
+    eq_plane = plane(ft.eq, 0)
     labels = equivalence_labels(eq_plane)
     # find a pair (u, v) of distinct equal sets, then break u's row
     pairs = np.argwhere((eq_plane == 1) & ~np.eye(len(frag), dtype=bool))
@@ -147,13 +147,13 @@ def test_tampered_membership_column_is_caught_in_column_order():
     lat = BooleanLattice(1)
     frag = enumerate_fragment(lat, 3)
     ft = boolean_truth_tables(frag)
-    eq_plane = ft.plane(ft.eq, 0)
+    eq_plane = plane(ft.eq, 0)
     for w, u in ((2, 12), (5, 20)):
         assert eq_plane[u].sum() > 1
         ft.mem[eq_plane[w].astype(bool), u] ^= 1
     # the witness a whole-plane column gather finds: the first bad (w, u)
     # in row-major order, oriented so that u is the container holding w
-    mem_plane = ft.plane(ft.mem, 0)
+    mem_plane = plane(ft.mem, 0)
     labels = equivalence_labels(eq_plane)
     bad_w, bad_u = (int(x) for x in np.argwhere(mem_plane != mem_plane[:, labels])[0])
     bad_v = int(labels[bad_u])
@@ -161,3 +161,103 @@ def test_tampered_membership_column_is_caught_in_column_order():
         bad_u, bad_v = bad_v, bad_u
     assert check_substitutivity_everywhere(ft) == ("membership-right", bad_u, bad_v, bad_w)
     assert mem_plane[bad_w, bad_u] and not mem_plane[bad_w, bad_v]
+
+
+# ------------------------------------------------- witnesses past the first row tile
+
+@pytest.fixture(scope="module")
+def b2_rank3():
+    return enumerate_fragment(BooleanLattice(2), 3)  # 3125 members
+
+
+def tile_rows(n, where):
+    """The rows of a middle row tile, or of the last, partial one."""
+    last = n // ROW_TILE * ROW_TILE
+    assert 0 < n - last < ROW_TILE and last >= 3 * ROW_TILE
+    start = last if where == "last" else n // ROW_TILE // 2 * ROW_TILE
+    return range(start, min(start + ROW_TILE, n))
+
+
+def tables_copy(tables):
+    return TruthTables(tables.atoms, tables.top, tables.fwd.copy(),
+                       tables.mem.copy(), tables.eq.copy())
+
+
+def whole_plane_witness(tables, atom, kind):
+    """The substitutivity witness of one plane from whole-plane numpy scans:
+    rows compared in (u, w) order, columns in (w, u) order."""
+    eq_plane, mem_plane = plane(tables.eq, atom), plane(tables.mem, atom)
+    labels = np.argmax(eq_plane, axis=1)
+    if kind == "membership-left":
+        u, w = np.argwhere(mem_plane != mem_plane[labels])[0]
+        member = mem_plane[u, w]
+    else:
+        w, u = np.argwhere(mem_plane != mem_plane[:, labels])[0]
+        member = mem_plane[w, u]
+    v = labels[u]
+    if not member:
+        u, v = v, u
+    return (kind, int(u), int(v), int(w))
+
+
+@pytest.mark.parametrize("where", ["middle", "last"])
+def test_membership_left_witness_past_first_tile(b2_rank3, where):
+    # flip one bit of a non-representative row: only that row now differs
+    # from its class label's row on plane 1 (plane 0 still passes)
+    tables = tables_copy(b2_rank3.truth_tables())
+    labels = tables.eq_labels()[1]
+    u = next(x for x in tile_rows(len(b2_rank3), where) if labels[x] != x)
+    tables.mem[u, 7] ^= 2
+    expected = whole_plane_witness(tables, 1, "membership-left")
+    assert u in expected[1:3]
+    assert check_substitutivity_everywhere(tables) == expected
+
+
+@pytest.mark.parametrize("where", ["middle", "last"])
+def test_membership_right_witness_past_first_tile(b2_rank3, where):
+    # every class representative sits in the first tile, so make x a class
+    # of its own on plane 1 (EQ stays an equivalence, MEM rows stay constant
+    # on classes), then flip [[x in u]] for a non-representative u: column u
+    # differs from its class label's column in row x only
+    tables = tables_copy(b2_rank3.truth_tables())
+    rows = tile_rows(len(b2_rank3), where)
+    x = rows[len(rows) // 2]
+    tables.eq[x, :] &= ~np.uint8(2)
+    tables.eq[:, x] &= ~np.uint8(2)
+    tables.eq[x, x] |= 2
+    labels = equivalence_labels(tables.eq, 1)
+    assert labels is not None and labels[x] == x
+    u = next(y for y in range(len(b2_rank3)) if labels[y] != y)
+    tables.mem[x, u] ^= 2
+    expected = whole_plane_witness(tables, 1, "membership-right")
+    assert expected[3] == x
+    assert check_substitutivity_everywhere(tables) == expected
+
+
+@pytest.mark.parametrize("where", ["middle", "last"])
+def test_transitivity_witness_with_many_related_rows(b2_rank3, where):
+    # relate one set to the last member of another class on plane 0: the
+    # classes have up to 1,568 members, so the related rows span several
+    # tiles, and the row that breaks transitivity is past the first one
+    labels = b2_rank3.truth_tables().eq_labels()[0]
+    tables = tables_copy(b2_rank3.truth_tables())
+    x = tile_rows(len(b2_rank3), where)[0]
+    y = max(y for y in range(len(b2_rank3)) if labels[y] != labels[x])
+    tables.eq[x, y] |= 1
+    tables.eq[y, x] |= 1
+    eq_plane = plane(tables.eq, 0)
+    # the search a whole plane allows: each u's related rows at once
+    expected = None
+    for u in range(len(eq_plane)):
+        related = eq_plane[u].astype(bool)
+        gaps = eq_plane[related].astype(bool).any(axis=0) & ~related
+        if gaps.any():
+            w = int(np.argmax(gaps))
+            v = int(np.nonzero(related & eq_plane[:, w].astype(bool))[0][0])
+            expected = (u, v, w)
+            break
+    assert expected is not None
+    u, v, _ = expected
+    assert list(np.flatnonzero(eq_plane[u])).index(v) >= ROW_TILE
+    assert find_transitivity_counterexample(tables.eq, 0) == expected
+    assert check_substitutivity_everywhere(tables) == ("transitivity", *expected)

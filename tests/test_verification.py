@@ -1,15 +1,19 @@
 """Theorem catalog, fragment-wide sweeps, transfer inequality, witnesses."""
 
+import dataclasses
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from lvset.exactnum import gq
+from lvset.fragment_tables import ROW_TILE
 from lvset.formula import parse
 from lvset.lattice import BooleanLattice, LatticeError, ProjectionLattice
 from lvset.projections import proj_from_span, zero_projection
-from lvset.universe import (EvalSession, empty_qset, enumerate_fragment,
-                            make_qset, truth_membership)
+from lvset.universe import (EvalSession, UniverseFragment, empty_qset,
+                            enumerate_fragment, make_qset, truth_membership)
 from lvset.verification import (CATALOG, CATALOG_BY_NAME, THEOREM_SCHEMAS,
                                 TheoremInstance, check_scott_solovay,
                                 check_transfer, find_equality_axiom_violation,
@@ -330,18 +334,91 @@ def test_fragment_cuts_each_equality_plane_once(monkeypatch):
     calls = []
     real_labels = ft.equivalence_labels
 
-    def counted(plane):
-        calls.append(plane)
-        return real_labels(plane)
+    def counted(table, atom=0):
+        calls.append((table, atom))
+        return real_labels(table, atom)
 
     monkeypatch.setattr(ft, "equivalence_labels", counted)
     frag = enumerate_fragment(BooleanLattice(2), 2)
     assert scott_solovay_suite(frag, cross_check=20).passed()
     assert find_equality_axiom_violation(frag) is None
-    assert len(calls) == frag.lattice.atoms
+    tables = frag.truth_tables()
+    assert [(t is tables.eq, atom) for t, atom in calls] == [(True, 0), (True, 1)]
 
 
 def test_scott_solovay_default_cross_check_is_180():
     frag = enumerate_fragment(BooleanLattice(1), 2)
     by_name = {s.schema: s for s in scott_solovay_suite(frag).sweeps}
     assert by_name["evaluator-cross-check"].instances == 180
+
+
+# ------------------------------------------------- sweeps past the first row tile
+
+@pytest.fixture(scope="module")
+def b2_rank3():
+    return enumerate_fragment(BooleanLattice(2), 3)  # 3125 members
+
+
+def tile_row(n, where):
+    """A row inside a middle row tile, or inside the last, partial one."""
+    last = n // ROW_TILE * ROW_TILE
+    assert 0 < n - last < ROW_TILE and last >= 3 * ROW_TILE
+    start = last if where == "last" else n // ROW_TILE // 2 * ROW_TILE
+    return start + min(ROW_TILE, n - start) // 2
+
+
+def suite_witness(fragment, tables, schema):
+    """The suite's witness for one schema when it reads the given tables,
+    on a fresh fragment so that no memo of the shared one changes."""
+    fresh = UniverseFragment(fragment.lattice, fragment.members)
+    fresh.truth_tables = lambda: tables
+    sweeps = {s.schema: s for s in scott_solovay_suite(fresh, cross_check=9).sweeps}
+    return sweeps[schema].witness
+
+
+def pair_witness(fragment, schema, mask):
+    """The witness of the first nonzero entry of a whole-array mask."""
+    i, j = (int(x) for x in np.argwhere(mask)[0])
+    return (i, j), TheoremInstance(CATALOG_BY_NAME[schema], fragment.lattice,
+                                   (fragment.members[i], fragment.members[j])).serialize()
+
+
+@pytest.mark.parametrize("where", ["middle", "last"])
+def test_eq_symmetry_witness_past_first_tile(b2_rank3, where):
+    tables = b2_rank3.truth_tables()
+    eq = tables.eq.copy()
+    i = tile_row(len(eq), where)
+    j = int(np.argmax(eq[i] == 0))  # unequal on both planes
+    eq[i, j] |= 1  # now [[u=v]] has a bit that [[v=u]] lacks, at (i, j) only
+    where_bad, expected = pair_witness(b2_rank3, "eq-symmetry", eq & (tables.top ^ eq.T))
+    assert where_bad == (i, j)
+    assert suite_witness(b2_rank3, dataclasses.replace(tables, eq=eq), "eq-symmetry") == expected
+
+
+@pytest.mark.parametrize("where", ["middle", "last"])
+def test_extensionality_witness_past_first_tile(b2_rank3, where):
+    tables = b2_rank3.truth_tables()
+    eq = tables.eq.copy()
+    i = tile_row(len(eq), where)
+    j = next(j for j in range(len(eq)) if j != i and eq[i, j] & 1)
+    eq[i, j] &= ~np.uint8(1)  # both inclusions still hold on plane 0
+    fwd = tables.fwd
+    where_bad, expected = pair_witness(b2_rank3, "extensionality",
+                                       fwd & fwd.T & (tables.top ^ eq))
+    assert where_bad == (i, j)
+    assert suite_witness(b2_rank3, dataclasses.replace(tables, eq=eq), "extensionality") == expected
+
+
+def test_value_one_suite_memory_stays_near_the_tables(b2_rank3):
+    # FWD, MEM and EQ take 3·n² bytes; every other array the suite and the
+    # violation search make, the table build included, is one row tile
+    fragment = UniverseFragment(b2_rank3.lattice, b2_rank3.members)  # no tables yet
+    n = len(fragment)
+    tracemalloc.start()
+    try:
+        assert scott_solovay_suite(fragment).passed()
+        assert find_equality_axiom_violation(fragment) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n * n + 8 * 2 ** 20
