@@ -511,9 +511,34 @@ def formula_to_json(node) -> dict:
 
 
 def formula_from_json(doc: dict):
+    """The inverse of formula_to_json. A doc with a missing, unknown or
+    ill-typed key, or nested more than MAX_DEPTH connectives deep (the
+    parser's limit), is refused with one FormulaError."""
+    return _from_json(doc, 0)
+
+
+def _from_json(doc, depth: int):
+    if not isinstance(doc, dict) or "node" not in doc:
+        raise FormulaError("formula JSON node must be an object with a 'node' key")
     kind = doc["node"]
-    cls = _NODE_CLASSES.get(kind)
+    cls = _NODE_CLASSES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise FormulaError(f"unknown formula node kind {kind!r}")
-    return cls(*(doc[f] if f in _NAME_FIELDS else formula_from_json(doc[f])
-                 for f in _FIELDS[cls]))
+    if cls is not Var and depth > MAX_DEPTH:
+        raise FormulaError(f"formula JSON nested more than {MAX_DEPTH} levels deep")
+    keys = _FIELDS[cls]
+    for key in doc:
+        if key != "node" and key not in keys:
+            raise FormulaError(f"formula JSON node {kind!r} has unknown key {key!r}")
+    values = []
+    for key in keys:
+        if key not in doc:
+            raise FormulaError(f"formula JSON node {kind!r} is missing key {key!r}")
+        value = doc[key]
+        if key in _NAME_FIELDS:
+            if not isinstance(value, str):
+                raise FormulaError(f"formula JSON node {kind!r} needs a string {key!r}")
+        else:
+            value = _from_json(value, depth + 1)
+        values.append(value)
+    return cls(*values)

@@ -44,6 +44,7 @@ class TruthTables:
     mem: np.ndarray  # mem[x, v] = [[x in v]]
     eq: np.ndarray   # eq[u, v] = [[u = v]]
     _labels: Optional[list] = field(default=None, init=False, repr=False, compare=False)
+    _triples: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def eq_labels(self) -> list:
         """equivalence_labels of each EQ plane, atom by atom, computed on
@@ -52,6 +53,37 @@ class TruthTables:
             self._labels = [equivalence_labels(self.eq, atom)
                             for atom in range(self.atoms)]
         return self._labels
+
+    def transitivity_triple(self, atom: int) -> Optional[tuple]:
+        """find_transitivity_counterexample on one EQ plane, searched once
+        per plane and only when the plane is not an equivalence; the
+        transitivity and substitutivity checks both read it."""
+        if self.eq_labels()[atom] is not None:
+            return None
+        if atom not in self._triples:
+            self._triples[atom] = find_transitivity_counterexample(self.eq, atom)
+        return self._triples[atom]
+
+    def equivalence_failure(self, atom: int) -> tuple:
+        """Why EQ plane atom is not an equivalence: ("transitivity", u, v, w)
+        with u~v, v~w and not u~w if such a triple exists, else
+        ("reflexivity", u, u, u) for the first u not related to itself,
+        else ("symmetry", u, v, v) for the first u~v without v~u in
+        row-major order."""
+        triple = self.transitivity_triple(atom)
+        if triple is not None:
+            return ("transitivity", *triple)
+        diagonal = plane(np.diagonal(self.eq), atom)
+        if not diagonal.all():
+            u = int(np.argmin(diagonal))
+            return ("reflexivity", u, u, u)
+        eq = self.eq
+        hit = first_nonzero(len(eq), lambda rows: plane(eq[rows], atom)
+                            > plane(transposed(eq[:, rows]), atom))
+        if hit is None:
+            raise LatticeError(f"EQ plane {atom} is an equivalence relation")
+        u, v = hit
+        return ("symmetry", u, v, v)
 
 
 def plane(table: np.ndarray, atom: int) -> np.ndarray:
@@ -223,11 +255,10 @@ def find_transitivity_counterexample(table: np.ndarray, atom: int = 0) -> Option
 def check_transitivity_everywhere(tables: TruthTables) -> Optional[tuple]:
     """None if [[u=v & v=w -> u=w]] = 1 for all |F|³ triples, else a triple
     index witness. Per-plane equivalence is exactly this statement."""
-    for atom, labels in enumerate(tables.eq_labels()):
-        if labels is None:
-            witness = find_transitivity_counterexample(tables.eq, atom)
-            if witness is not None:
-                return witness
+    for atom in range(tables.atoms):
+        triple = tables.transitivity_triple(atom)
+        if triple is not None:
+            return triple
     return None
 
 
@@ -235,7 +266,9 @@ def check_substitutivity_everywhere(tables: TruthTables) -> Optional[tuple]:
     """None if equal sets are everywhere intersubstitutable in membership:
     [[u=v & u in w -> v in w]] = 1 and [[u=v & w in u -> w in v]] = 1 over
     all triples. Reduces to membership rows/columns being constant on the
-    equality classes of every plane. Returns (kind, u, v, w) on failure.
+    equality classes of every plane. Returns (kind, u, v, w) on failure;
+    on a plane that is not an equivalence, kind is "transitivity",
+    "reflexivity" or "symmetry" (TruthTables.equivalence_failure).
 
     Each plane is scanned one row tile at a time: membership-left compares
     rows with their class label's row in (u, w) order, membership-right
@@ -244,8 +277,7 @@ def check_substitutivity_everywhere(tables: TruthTables) -> Optional[tuple]:
     mem, n = tables.mem, len(tables.mem)
     for atom, labels in enumerate(tables.eq_labels()):
         if labels is None:
-            triple = find_transitivity_counterexample(tables.eq, atom)
-            return ("transitivity", *triple)
+            return tables.equivalence_failure(atom)
         hit = first_nonzero(n, lambda rows: plane(mem[rows], atom)
                             != plane(mem[labels[rows]], atom))
         if hit is not None:

@@ -186,7 +186,10 @@ class ProjectionLattice(Lattice):
 
     Meets, joins, complements, order tests and commutators are memoized by
     operand for as long as the lattice object lives; a fresh lattice
-    computes everything again.
+    computes everything again. Each projection the lattice computes is
+    built, and so validated, once: results of rank 0 and of full rank are
+    the lattice's own bottom and top, and a computed complement I − P is
+    recorded with P as its own complement.
     """
 
     kind = "projection"
@@ -197,6 +200,7 @@ class ProjectionLattice(Lattice):
         self.dim = dim
         self._top = pj.identity_projection(dim)
         self._bottom = pj.zero_projection(dim)
+        self._bounds = (self._bottom, self._top)
         self._memo: dict = {}  # (operation, *operands) -> result
 
     def __repr__(self):
@@ -226,6 +230,17 @@ class ProjectionLattice(Lattice):
             value = self._memo[key] = compute(*operands)
             return value
 
+    # the projection builders, handed this lattice's bounds for results of
+    # rank 0 and of full rank
+    def _subspace_meet(self, a: Projection, b: Projection) -> Projection:
+        return pj.subspace_meet(a, b, self._bounds)
+
+    def _subspace_join(self, a: Projection, b: Projection) -> Projection:
+        return pj.subspace_join(a, b, self._bounds)
+
+    def _lattice_commutator(self, family: frozenset) -> Projection:
+        return pj.lattice_commutator(family, self._bounds)
+
     def meet(self, a: Projection, b: Projection) -> Projection:
         """a ∧ b. The identities a∧a = a, a∧1 = a and a∧0 = 0 (either
         argument order) are answered without row reduction."""
@@ -236,7 +251,7 @@ class ProjectionLattice(Lattice):
             return b
         if a == self._bottom or b == self._bottom:
             return self._bottom
-        return self._memoized("meet", pj.subspace_meet, a, b)
+        return self._memoized("meet", self._subspace_meet, a, b)
 
     def join(self, a: Projection, b: Projection) -> Projection:
         """a ∨ b. The identities a∨a = a, a∨0 = a and a∨1 = 1 (either
@@ -248,10 +263,22 @@ class ProjectionLattice(Lattice):
             return b
         if a == self._top or b == self._top:
             return self._top
-        return self._memoized("join", pj.subspace_join, a, b)
+        return self._memoized("join", self._subspace_join, a, b)
 
     def ortho(self, a: Projection) -> Projection:
-        return self._memoized("ortho", Projection.complement, a)
+        """a⊥. 1 and 0 swap without computing; a computed I − P is memoized
+        with P as its own complement, so ortho(ortho(P)) is P."""
+        if a == self._top:
+            return self._bottom
+        if a == self._bottom:
+            return self._top
+        key = ("ortho", a)
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = a.complement()
+            self._memo["ortho", value] = a
+            return value
 
     def leq(self, a: Projection, b: Projection) -> bool:
         return self._memoized("leq", Projection.leq, a, b)
@@ -263,7 +290,7 @@ class ProjectionLattice(Lattice):
         family = frozenset(values)
         if not family:
             return self._top
-        return self._memoized("commutator", pj.lattice_commutator, family)
+        return self._memoized("commutator", self._lattice_commutator, family)
 
     def describe(self) -> dict:
         return {"kind": "projection", "dim": self.dim}

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import exactmat as xm
 from .exactnum import GQ, ZERO, format_entry, parse_entry
@@ -95,12 +95,15 @@ def identity_projection(dim: int) -> Projection:
     return Projection(xm.identity(dim))
 
 
-def proj_from_span(vectors: Sequence[Sequence[GQ]], dim: int) -> Projection:
+def proj_from_span(vectors: Sequence[Sequence[GQ]], dim: int,
+                   bounds: Optional[tuple] = None) -> Projection:
     """Orthogonal projection onto span(vectors).
 
     Normal-equation form P = V (V†V)⁻¹ V† over a maximal independent subset,
     so no vector normalization (hence no square roots) is ever needed. An
-    empty subset spans 0 and one of dim vectors the whole space.
+    empty subset spans 0 and one of dim vectors the whole space; bounds,
+    a lattice's (bottom, top), are returned for those two instead of new
+    zero and identity projections.
     """
     vecs = [tuple(v) for v in vectors]
     for v in vecs:
@@ -109,9 +112,9 @@ def proj_from_span(vectors: Sequence[Sequence[GQ]], dim: int) -> Projection:
     vecs = [v for v in vecs if not all(x.is_zero() for x in v)]
     basis = xm.independent_subset(vecs)
     if not basis:
-        return zero_projection(dim)
+        return bounds[0] if bounds else zero_projection(dim)
     if len(basis) == dim:
-        return identity_projection(dim)
+        return bounds[1] if bounds else identity_projection(dim)
     v_cols = tuple(tuple(basis[j][i] for j in range(len(basis))) for i in range(dim))
     v_dag = xm.dagger(v_cols)
     gram = xm.mat_mul(v_dag, v_cols)
@@ -123,24 +126,27 @@ def _columns(p: Projection) -> list:
     return [tuple(m[i][j] for i in range(p.dim)) for j in range(p.dim)]
 
 
-def subspace_meet(p: Projection, q: Projection) -> Projection:
-    """Projection onto ran(P) ∩ ran(Q): kernel of the stacked (I−P; I−Q)."""
+def subspace_meet(p: Projection, q: Projection, bounds: Optional[tuple] = None) -> Projection:
+    """Projection onto ran(P) ∩ ran(Q): kernel of the stacked (I−P; I−Q).
+    bounds as in proj_from_span."""
     check_dims(p, q)
     stacked = xm.identity_minus(p.matrix) + xm.identity_minus(q.matrix)
-    return proj_from_span(xm.kernel_basis(stacked), p.dim)
+    return proj_from_span(xm.kernel_basis(stacked), p.dim, bounds)
 
 
-def subspace_join(p: Projection, q: Projection) -> Projection:
-    """Projection onto ran(P) + ran(Q): span of both column spaces."""
+def subspace_join(p: Projection, q: Projection, bounds: Optional[tuple] = None) -> Projection:
+    """Projection onto ran(P) + ran(Q): span of both column spaces.
+    bounds as in proj_from_span."""
     check_dims(p, q)
-    return proj_from_span(_columns(p) + _columns(q), p.dim)
+    return proj_from_span(_columns(p) + _columns(q), p.dim, bounds)
 
 
 def _flat(m: xm.Matrix) -> tuple:
     return tuple(x for row in m for x in row)
 
 
-def lattice_commutator(projections: Iterable[Projection]) -> Projection:
+def lattice_commutator(projections: Iterable[Projection],
+                       bounds: Optional[tuple] = None) -> Projection:
     """The largest projection E commuting with every member of S such that
     the compressed family {PE} is pairwise commuting.
 
@@ -148,6 +154,7 @@ def lattice_commutator(projections: Iterable[Projection]) -> Projection:
     the two-sided ideal generated by all commutators of A(S). e is the sum
     of the non-commutative central blocks of A(S), so I − e is the sum of
     the commutative ones; the whole computation stays Gaussian-rational.
+    bounds as in proj_from_span, for E = 0 and E = I.
     """
     gens = list(projections)
     if not gens:
@@ -191,7 +198,7 @@ def lattice_commutator(projections: Iterable[Projection]) -> Projection:
             if commutator_span.add(_flat(c)):
                 ideal.append(c)
     if not ideal:
-        return identity_projection(dim)
+        return bounds[1] if bounds else identity_projection(dim)
 
     # Close the commutator span into a two-sided ideal of A(S).
     frontier = list(ideal)
@@ -206,6 +213,8 @@ def lattice_commutator(projections: Iterable[Projection]) -> Projection:
         frontier = new_frontier
 
     unit = _ideal_unit(ideal)
+    if bounds and unit == eye:
+        return bounds[0]
     result = Projection(xm.identity_minus(unit))
     for g in gens:
         if not result.commutes_with(g):

@@ -82,19 +82,28 @@ class QReal:
 
 def qreal_from_spectral(sd: SpectralData, grid: Sequence) -> QReal:
     """E(r) = sum of eigenprojections with eigenvalue <= r."""
+    return _qreal_on(ProjectionLattice(sd.dim), sd, grid)
+
+
+def _qreal_on(lattice: ProjectionLattice, sd: SpectralData, grid: Sequence) -> QReal:
+    """qreal_from_spectral with cuts on the given lattice. A cut below the
+    spectrum is its bottom, one holding every eigenvalue its top and one
+    holding a single eigenvalue that SpectralData eigenprojection; only a
+    partial sum of two or more eigenprojections is a new Projection, built
+    once for all the grid points it covers."""
     points = sorted({Fraction(g) for g in grid})
     spectrum = sd.eigenvalues()
     for ev in spectrum:
         if ev not in points:
             raise LatticeError(f"grid is missing the eigenvalue {ev}")
-    cuts = []
-    for r in points:
-        total = xm.zeros(sd.dim, sd.dim)
-        for value, proj in sd.eigen:
-            if value <= r:
-                total = xm.mat_add(total, proj.matrix)
-        cuts.append(Projection(total))
-    return QReal(ProjectionLattice(sd.dim), tuple(points), tuple(cuts))
+    projs = [p for _, p in sd.eigen]
+    sums = [lattice.bottom()]  # sums[k]: the sum of the first k eigenprojections
+    for k in range(1, len(projs)):
+        sums.append(projs[0] if k == 1 else
+                    Projection(xm.mat_add(sums[-1].matrix, projs[k - 1].matrix)))
+    sums.append(lattice.top())
+    cuts = tuple(sums[bisect_right(spectrum, r)] for r in points)
+    return QReal(lattice, tuple(points), cuts)
 
 
 def _merged_grid(a: QReal, b: QReal) -> list:
@@ -234,8 +243,9 @@ def prob_equal(a: SpectralData, b: SpectralData, state: StateVector,
     if a.dim != b.dim:
         raise LatticeError("spectral data dimensions differ")
     grid = sorted(set(a.eigenvalues()) | set(b.eigenvalues()) | {Fraction(g) for g in extra_grid})
-    qa = qreal_from_spectral(a, grid)
-    qb = qreal_from_spectral(b, grid)
+    lattice = ProjectionLattice(a.dim)  # one memo and one pair of bounds for both
+    qa = _qreal_on(lattice, a, grid)
+    qb = _qreal_on(lattice, b, grid)
     element = truth_eq(qa, qb)
     return ProbabilityResult(
         value=born_probability(element, state),

@@ -516,11 +516,11 @@ def find_equality_axiom_violation(fragment) -> Optional[ViolationWitness]:
         if hit is None:
             return None
         kind, i, j, k = hit
-        if kind == "transitivity":
+        if kind not in ("membership-left", "membership-right"):
             raise LatticeError(
                 "equality plane is not an equivalence relation on a Boolean "
-                f"fragment (members {i}, {j}, {k}); this indicates a defect "
-                "in the truth tables")
+                f"fragment ({kind} fails at members {i}, {j}, {k}); this "
+                "indicates a defect in the truth tables")
         e = int(tables.eq[i, j])
         if kind == "membership-left":
             return ViolationWitness(kind, members[i], members[j], members[k], e,

@@ -166,6 +166,44 @@ def test_formulas_past_the_depth_limit_are_refused(kind):
         parse(NESTINGS[kind](10 * MAX_DEPTH))
 
 
+@pytest.mark.parametrize("kind", sorted(NESTINGS))
+def test_formula_json_round_trips_at_the_depth_limit(kind):
+    node = parse(NESTINGS[kind](MAX_DEPTH))
+    assert formula_from_json(formula_to_json(node)) == node
+
+
+def nested_not_doc(levels):
+    doc = {"node": "eq", "left": {"node": "var", "name": "x"},
+           "right": {"node": "var", "name": "y"}}
+    for _ in range(levels):
+        doc = {"node": "not", "body": doc}
+    return doc
+
+
+def test_formula_json_past_the_depth_limit_is_refused():
+    assert formula_from_json(nested_not_doc(MAX_DEPTH)) == parse("~" * MAX_DEPTH + "x = y")
+    for levels in (MAX_DEPTH + 1, 3000):
+        with pytest.raises(FormulaError, match=f"nested more than {MAX_DEPTH} levels"):
+            formula_from_json(nested_not_doc(levels))
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"node": "eq"}, "'eq' is missing key 'left'"),
+    ({"node": "eq", "left": {"node": "var", "name": "x"}}, "'eq' is missing key 'right'"),
+    ({"node": "forall", "var": "x", "body": {"node": "var", "name": "x"}, "bound": None},
+     "'forall' has unknown key 'bound'"),
+    ({"node": "var", "name": "x", "extra": 1}, "'var' has unknown key 'extra'"),
+    ({"node": "var", "name": 3}, "'var' needs a string 'name'"),
+    ({"node": "not", "body": {"name": "x"}}, "object with a 'node' key"),
+    ({"node": "not", "body": ["var", "x"]}, "object with a 'node' key"),
+    ({"node": ["not"]}, "unknown formula node kind"),
+    ([], "object with a 'node' key"),
+])
+def test_formula_json_malformed_docs_are_refused(doc, message):
+    with pytest.raises(FormulaError, match=message):
+        formula_from_json(doc)
+
+
 def test_chain_depth_counts_the_deepest_operand():
     # a left-deep chain puts its first operand deepest, so a nested first
     # operand uses up the levels the links leave

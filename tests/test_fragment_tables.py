@@ -15,6 +15,7 @@ from lvset.formula import Environment, eval_formula, parse
 from lvset.generators import random_qset_pool
 from lvset.lattice import BooleanLattice, LatticeError, ProjectionLattice
 from lvset.universe import EvalSession, UniverseFragment, enumerate_fragment
+from lvset.verification import find_equality_axiom_violation, scott_solovay_suite
 
 
 def test_tables_match_generic_evaluator():
@@ -119,6 +120,74 @@ def test_transitivity_counterexample_finder():
     ], dtype=np.uint8)
     assert equivalence_labels(good) is not None
     assert find_transitivity_counterexample(good) is None
+
+
+def fragment_reading(fragment, tables):
+    """A fresh fragment over the same members whose truth tables are the
+    given ones, so that no memo of the original fragment changes."""
+    fresh = UniverseFragment(fragment.lattice, fragment.members)
+    fresh.truth_tables = lambda: tables
+    return fresh
+
+
+def test_non_reflexive_eq_plane_is_reported_not_a_crash():
+    # zero row and column 20 of EQ: the plane stays symmetric and
+    # transitive, so it is no equivalence but has no transitivity triple
+    fragment = enumerate_fragment(BooleanLattice(1), 3)
+    tables = tables_copy(fragment.truth_tables())
+    tables.eq[20, :] = 0
+    tables.eq[:, 20] = 0
+    assert equivalence_labels(tables.eq, 0) is None
+    assert find_transitivity_counterexample(tables.eq, 0) is None
+    assert check_transitivity_everywhere(tables) is None
+    assert check_substitutivity_everywhere(tables) == ("reflexivity", 20, 20, 20)
+    broken = fragment_reading(fragment, tables)
+    sweeps = {s.schema: s for s in scott_solovay_suite(broken, cross_check=9).sweeps}
+    assert not sweeps["eq-reflexivity"].passed
+    assert not sweeps["subst-membership-left"].passed
+    assert sweeps["eq-transitivity"].passed
+    with pytest.raises(LatticeError, match="reflexivity fails at members 20, 20, 20"):
+        find_equality_axiom_violation(broken)
+
+
+def test_non_symmetric_eq_plane_is_reported():
+    # reflexive and transitive, 0~1 without 1~0
+    eq = np.array([[1, 1, 0], [0, 1, 0], [0, 0, 1]], dtype=np.uint8)
+    zeros = np.zeros_like(eq)
+    tables = TruthTables(atoms=1, top=1, fwd=zeros, mem=zeros, eq=eq)
+    assert equivalence_labels(eq, 0) is None
+    assert check_transitivity_everywhere(tables) is None
+    assert check_substitutivity_everywhere(tables) == ("symmetry", 0, 1, 1)
+
+
+def test_transitivity_triple_searched_once_per_broken_plane(monkeypatch):
+    # plane 0 is not reflexive (no triple), plane 1 not transitive: the
+    # suite and the violation search together search each plane once
+    import lvset.fragment_tables as ft
+    fragment = enumerate_fragment(BooleanLattice(2), 2)
+    assert [list(labels) for labels in fragment.truth_tables().eq_labels()] == [
+        [0, 0, 2, 0, 2], [0, 0, 0, 3, 3]]
+    tables = tables_copy(fragment.truth_tables())
+    tables.eq[4, :] &= ~np.uint8(1)
+    tables.eq[:, 4] &= ~np.uint8(1)
+    tables.eq[0, 3] |= 2
+    tables.eq[3, 0] |= 2
+    searched = []
+    real = ft.find_transitivity_counterexample
+
+    def counted(table, atom=0):
+        searched.append(atom)
+        return real(table, atom)
+
+    monkeypatch.setattr(ft, "find_transitivity_counterexample", counted)
+    broken = fragment_reading(fragment, tables)
+    sweeps = {s.schema: s for s in scott_solovay_suite(broken, cross_check=9).sweeps}
+    assert not sweeps["eq-transitivity"].passed
+    with pytest.raises(LatticeError, match="reflexivity fails at members 4, 4, 4"):
+        find_equality_axiom_violation(broken)
+    assert check_transitivity_everywhere(tables) == (0, 3, 4)
+    assert check_substitutivity_everywhere(tables) == ("reflexivity", 4, 4, 4)
+    assert searched == [0, 1]
 
 
 def test_tampered_membership_table_is_caught():

@@ -194,9 +194,9 @@ def test_projection_lattice_memo_belongs_to_one_lattice(monkeypatch):
     calls = []
     real_meet = pj.subspace_meet
 
-    def counted(a, b):
-        calls.append((a, b))
-        return real_meet(a, b)
+    def counted(*args):
+        calls.append(args)
+        return real_meet(*args)
 
     monkeypatch.setattr(pj, "subspace_meet", counted)
     p = proj_from_span([(gq(1), gq(0))], 2)
@@ -207,6 +207,68 @@ def test_projection_lattice_memo_belongs_to_one_lattice(monkeypatch):
     # an equal but distinct lattice object has its own memo
     assert ProjectionLattice(2).meet(p, q) == lat.bottom()
     assert len(calls) == 2
+
+
+def test_projection_lattice_results_are_validated_once_and_reused():
+    # every result passes the public validator and equals the same operation
+    # on a fresh lattice; rank-0 and full results are this lattice's own
+    # bounds, and a complement's complement is the original object
+    from lvset.generators import random_projection
+    from lvset.projections import (Projection, lattice_commutator,
+                                   subspace_join, subspace_meet)
+    rng = random.Random(41)
+    for dim in (2, 3, 4):
+        lat = ProjectionLattice(dim)
+        ps = [random_projection(rng, dim, rank=rng.randint(1, dim - 1))
+              for _ in range(4)]
+        ps += [lat.ortho(ps[0]), lat.top(), lat.bottom()]
+        results = []
+        for a, b in product(ps, repeat=2):
+            fresh = ProjectionLattice(dim)
+            for got, want in ((lat.meet(a, b), subspace_meet(a, b)),
+                              (lat.join(a, b), subspace_join(a, b)),
+                              (lat.meet(a, b), fresh.meet(a, b)),
+                              (lat.join(a, b), fresh.join(a, b)),
+                              (lat.commutator([a, b]), lattice_commutator([a, b]))):
+                assert got == want
+                results.append(got)
+        for a in ps:
+            assert lat.ortho(a) == a.complement() == ProjectionLattice(dim).ortho(a)
+            assert lat.ortho(lat.ortho(a)) is a
+            results.append(lat.ortho(a))
+        ranks = set()
+        for r in results:
+            assert Projection(r.matrix) == r
+            rank = r.rank()
+            ranks.add(rank)
+            if rank in (0, dim):
+                assert r is (lat.bottom() if rank == 0 else lat.top())
+        assert {0, dim} <= ranks
+    # results of an empty or full span are the bounds, not new projections
+    p = proj_from_span([(gq(1), gq(0))], 2)
+    q = proj_from_span([(gq(1), gq(1))], 2)
+    lat = ProjectionLattice(2)
+    assert lat.meet(p, q) is lat.bottom()
+    assert lat.join(p, q) is lat.top()
+
+
+def test_projection_lattice_complements_each_value_once(monkeypatch):
+    from lvset.projections import Projection
+    calls = []
+    real = Projection.complement
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Projection, "complement", counted)
+    p = proj_from_span([(gq(1), gq(2))], 2)
+    lat = ProjectionLattice(2)
+    pc = lat.ortho(p)
+    assert lat.ortho(pc) is p and lat.ortho(p) is pc
+    assert lat.ortho(lat.top()) is lat.bottom()
+    assert lat.ortho(lat.bottom()) is lat.top()
+    assert calls == [p]
 
 
 def test_lattice_commutator_method():

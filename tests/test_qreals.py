@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from lvset import exactmat as xm
 from lvset.exactnum import GQ, gq
 from lvset.formula import Environment, eval_formula, parse
 from lvset.generators import (random_commuting_pair, random_projection,
@@ -64,6 +65,55 @@ def test_qreal_from_spectral_cuts():
         qreal_from_spectral(sd, [2])  # grid must contain every eigenvalue
     with pytest.raises(LatticeError):
         q.cut(7)
+
+
+def test_qreal_cuts_reuse_bounds_and_eigenprojections():
+    # a cut below the spectrum is bottom, one holding every eigenvalue top,
+    # one holding a single eigenvalue that very eigenprojection; only a
+    # partial sum of two or more is a new projection, one per sum
+    sd = diag_observable([1, 2, 3, 4])
+    q = qreal_from_spectral(sd, [0, 1, Fraction(3, 2), 2, 3, 4, 5])
+    lat = q.lattice
+    p1, p2, p3, _ = (p for _, p in sd.eigen)
+    assert q.cut(0) is lat.bottom()
+    assert q.cut(1) is p1 and q.cut(Fraction(3, 2)) is p1
+    assert q.cut(2) == Projection(xm.mat_add(p1.matrix, p2.matrix))
+    assert q.cut(3) == Projection(xm.mat_add(q.cut(2).matrix, p3.matrix))
+    assert q.cut(4) is lat.top() and q.cut(5) is lat.top()
+    assert len({id(c) for c in q.cuts}) == 5
+    scalar = qreal_from_spectral(diag_observable([7, 7]), [6, 7])
+    assert scalar.cuts[0] is scalar.lattice.bottom() and scalar.cuts[1] is scalar.lattice.top()
+    pair = diag_observable([1, 2])
+    q = qreal_from_spectral(pair, [1, 2])
+    assert q.cuts[0] is pair.eigen[0][1] and q.cuts[1] is q.lattice.top()
+
+
+def test_prob_equal_builds_each_projection_once(monkeypatch):
+    # one lattice for both reals: its two bounds, one partial sum per real
+    # (the other cuts are eigenprojections or bounds), the complements of
+    # the first two cuts and of the shared second one, and one meet of rank 1.
+    # Meets and joins of rank 0 or 3 are the lattice's bounds.
+    def e(*xs):
+        return tuple(gq(x) for x in xs)
+
+    a = diag_observable([1, 2, 3])
+    b = SpectralData(dim=3, eigen=((Fraction(1), proj_from_span([e(1, 1, 0)], 3)),
+                                   (Fraction(2), proj_from_span([e(1, -1, 0)], 3)),
+                                   (Fraction(3), proj_from_span([e(0, 0, 1)], 3))))
+    state = StateVector(e(1, 2, 1))
+    calls = []
+    real = Projection.__init__
+
+    def counted(self, matrix):
+        calls.append(matrix)
+        real(self, matrix)
+
+    monkeypatch.setattr(Projection, "__init__", counted)
+    result = prob_equal(a, b, state)
+    monkeypatch.undo()
+    assert len(calls) == 8
+    assert result.element == proj_from_span([e(0, 0, 1)], 3)
+    assert result.value == Fraction(1, 6) and result.model_dependent
 
 
 def test_spectral_cuts_commute_pairwise():
