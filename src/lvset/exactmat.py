@@ -131,10 +131,6 @@ def is_hermitian(a: Matrix) -> bool:
     return all(a[i][j] == a[j][i].conj() for i in range(n) for j in range(i, n))
 
 
-def is_zero(a: Matrix) -> bool:
-    return all(x.is_zero() for row in a for x in row)
-
-
 def _int_rref(a: Iterable[Sequence[GQ]]) -> tuple:
     """Gauss-Jordan on integer rows: (rows, pivot columns), each row an
     (re, im, d) triple as from _int_vector, in reduced row echelon form.

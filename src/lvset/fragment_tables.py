@@ -114,9 +114,6 @@ def first_nonzero(n: int, mask_rows) -> Optional[tuple]:
     return None
 
 
-TRANSPOSE_TILE = 256
-
-
 def transposed(table: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """table.T as a new array, or written into out, copied one square tile
     at a time. A whole-array transposed copy of uint8 walks one operand a
@@ -124,10 +121,10 @@ def transposed(table: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarra
     n, m = table.shape
     if out is None:
         out = np.empty((m, n), dtype=table.dtype)
-    for i in range(0, n, TRANSPOSE_TILE):
-        for j in range(0, m, TRANSPOSE_TILE):
-            out[j:j + TRANSPOSE_TILE, i:i + TRANSPOSE_TILE] = \
-                table[i:i + TRANSPOSE_TILE, j:j + TRANSPOSE_TILE].T
+    for i in range(0, n, ROW_TILE):
+        for j in range(0, m, ROW_TILE):
+            out[j:j + ROW_TILE, i:i + ROW_TILE] = \
+                table[i:i + ROW_TILE, j:j + ROW_TILE].T
     return out
 
 

@@ -188,8 +188,9 @@ class ProjectionLattice(Lattice):
     operand for as long as the lattice object lives; a fresh lattice
     computes everything again. Each projection the lattice computes is
     built, and so validated, once: results of rank 0 and of full rank are
-    the lattice's own bottom and top, and a computed complement I − P is
-    recorded with P as its own complement.
+    the dimension's zero and identity, shared by every lattice of that
+    dimension, and a computed complement I − P is recorded with P as its
+    own complement.
     """
 
     kind = "projection"
@@ -200,7 +201,6 @@ class ProjectionLattice(Lattice):
         self.dim = dim
         self._top = pj.identity_projection(dim)
         self._bottom = pj.zero_projection(dim)
-        self._bounds = (self._bottom, self._top)
         self._memo: dict = {}  # (operation, *operands) -> result
 
     def __repr__(self):
@@ -230,17 +230,6 @@ class ProjectionLattice(Lattice):
             value = self._memo[key] = compute(*operands)
             return value
 
-    # the projection builders, handed this lattice's bounds for results of
-    # rank 0 and of full rank
-    def _subspace_meet(self, a: Projection, b: Projection) -> Projection:
-        return pj.subspace_meet(a, b, self._bounds)
-
-    def _subspace_join(self, a: Projection, b: Projection) -> Projection:
-        return pj.subspace_join(a, b, self._bounds)
-
-    def _lattice_commutator(self, family: frozenset) -> Projection:
-        return pj.lattice_commutator(family, self._bounds)
-
     def meet(self, a: Projection, b: Projection) -> Projection:
         """a ∧ b. The identities a∧a = a, a∧1 = a and a∧0 = 0 (either
         argument order) are answered without row reduction."""
@@ -251,7 +240,7 @@ class ProjectionLattice(Lattice):
             return b
         if a == self._bottom or b == self._bottom:
             return self._bottom
-        return self._memoized("meet", self._subspace_meet, a, b)
+        return self._memoized("meet", pj.subspace_meet, a, b)
 
     def join(self, a: Projection, b: Projection) -> Projection:
         """a ∨ b. The identities a∨a = a, a∨0 = a and a∨1 = 1 (either
@@ -263,7 +252,7 @@ class ProjectionLattice(Lattice):
             return b
         if a == self._top or b == self._top:
             return self._top
-        return self._memoized("join", self._subspace_join, a, b)
+        return self._memoized("join", pj.subspace_join, a, b)
 
     def ortho(self, a: Projection) -> Projection:
         """a⊥. 1 and 0 swap without computing; a computed I − P is memoized
@@ -281,7 +270,7 @@ class ProjectionLattice(Lattice):
             return value
 
     def leq(self, a: Projection, b: Projection) -> bool:
-        return self._memoized("leq", Projection.leq, a, b)
+        return self._memoized("leq", _projection_leq, a, b)
 
     def commutes(self, a: Projection, b: Projection) -> bool:
         return a.commutes_with(b)
@@ -290,15 +279,15 @@ class ProjectionLattice(Lattice):
         family = frozenset(values)
         if not family:
             return self._top
-        return self._memoized("commutator", self._lattice_commutator, family)
+        return self._memoized("commutator", pj.lattice_commutator, family)
 
     def describe(self) -> dict:
         return {"kind": "projection", "dim": self.dim}
 
     def element_repr(self, a: Projection) -> str:
-        if a.is_zero():
+        if a == pj.zero_projection(a.dim):
             return "0"
-        if a.is_identity():
+        if a == pj.identity_projection(a.dim):
             return "1"
         return f"proj(rank {a.rank()} of {a.dim})"
 
@@ -308,6 +297,18 @@ class ProjectionLattice(Lattice):
 
     def element_from_json(self, doc) -> Projection:
         return self.check_element(pj.projection_from_json(doc))
+
+
+def _projection_leq(a: Projection, b: Projection) -> bool:
+    """a ≤ b. a ≤ a, 0 ≤ b and a ≤ 1 hold, and then 1 ≤ b and a ≤ 0 fail,
+    by the lattice laws; only the other pairs take an exact product."""
+    pj.check_dims(a, b)
+    zero, one = pj.zero_projection(a.dim), pj.identity_projection(a.dim)
+    if a == b or a == zero or b == one:
+        return True
+    if a == one or b == zero:
+        return False
+    return a.leq(b)
 
 
 def lattice_from_json(doc: dict) -> Lattice:

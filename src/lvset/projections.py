@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from . import exactmat as xm
 from .exactnum import GQ, ZERO, format_entry, parse_entry
@@ -59,12 +59,6 @@ class Projection:
     def rank(self) -> int:
         return xm.rank(self.matrix)
 
-    def is_zero(self) -> bool:
-        return xm.is_zero(self.matrix)
-
-    def is_identity(self) -> bool:
-        return self.matrix == xm.identity(self.dim)
-
     def complement(self) -> "Projection":
         return Projection(xm.identity_minus(self.matrix))
 
@@ -87,34 +81,39 @@ def check_dims(*ps: Projection):
             raise LatticeError(f"dimension mismatch: {d} vs {p.dim}")
 
 
+_BOUNDS: dict = {}  # dim -> (zero, identity): one object each, validated on first use
+
+
+def _bounds(dim: int) -> tuple:
+    if dim not in _BOUNDS:
+        _BOUNDS[dim] = (Projection(xm.zeros(dim, dim)), Projection(xm.identity(dim)))
+    return _BOUNDS[dim]
+
+
 def zero_projection(dim: int) -> Projection:
-    return Projection(xm.zeros(dim, dim))
+    return _bounds(dim)[0]
 
 
 def identity_projection(dim: int) -> Projection:
-    return Projection(xm.identity(dim))
+    return _bounds(dim)[1]
 
 
-def proj_from_span(vectors: Sequence[Sequence[GQ]], dim: int,
-                   bounds: Optional[tuple] = None) -> Projection:
+def proj_from_span(vectors: Sequence[Sequence[GQ]], dim: int) -> Projection:
     """Orthogonal projection onto span(vectors).
 
     Normal-equation form P = V (V†V)⁻¹ V† over a maximal independent subset,
-    so no vector normalization (hence no square roots) is ever needed. An
-    empty subset spans 0 and one of dim vectors the whole space; bounds,
-    a lattice's (bottom, top), are returned for those two instead of new
-    zero and identity projections.
+    so no vector normalization (hence no square roots) is ever needed. A
+    span of 0 or of the whole space is the dimension's zero or identity.
     """
     vecs = [tuple(v) for v in vectors]
     for v in vecs:
         if len(v) != dim:
             raise LatticeError(f"vector length {len(v)} does not match dimension {dim}")
-    vecs = [v for v in vecs if not all(x.is_zero() for x in v)]
     basis = xm.independent_subset(vecs)
     if not basis:
-        return bounds[0] if bounds else zero_projection(dim)
+        return zero_projection(dim)
     if len(basis) == dim:
-        return bounds[1] if bounds else identity_projection(dim)
+        return identity_projection(dim)
     v_cols = tuple(tuple(basis[j][i] for j in range(len(basis))) for i in range(dim))
     v_dag = xm.dagger(v_cols)
     gram = xm.mat_mul(v_dag, v_cols)
@@ -126,27 +125,24 @@ def _columns(p: Projection) -> list:
     return [tuple(m[i][j] for i in range(p.dim)) for j in range(p.dim)]
 
 
-def subspace_meet(p: Projection, q: Projection, bounds: Optional[tuple] = None) -> Projection:
-    """Projection onto ran(P) ∩ ran(Q): kernel of the stacked (I−P; I−Q).
-    bounds as in proj_from_span."""
+def subspace_meet(p: Projection, q: Projection) -> Projection:
+    """Projection onto ran(P) ∩ ran(Q): kernel of the stacked (I−P; I−Q)."""
     check_dims(p, q)
     stacked = xm.identity_minus(p.matrix) + xm.identity_minus(q.matrix)
-    return proj_from_span(xm.kernel_basis(stacked), p.dim, bounds)
+    return proj_from_span(xm.kernel_basis(stacked), p.dim)
 
 
-def subspace_join(p: Projection, q: Projection, bounds: Optional[tuple] = None) -> Projection:
-    """Projection onto ran(P) + ran(Q): span of both column spaces.
-    bounds as in proj_from_span."""
+def subspace_join(p: Projection, q: Projection) -> Projection:
+    """Projection onto ran(P) + ran(Q): span of both column spaces."""
     check_dims(p, q)
-    return proj_from_span(_columns(p) + _columns(q), p.dim, bounds)
+    return proj_from_span(_columns(p) + _columns(q), p.dim)
 
 
 def _flat(m: xm.Matrix) -> tuple:
     return tuple(x for row in m for x in row)
 
 
-def lattice_commutator(projections: Iterable[Projection],
-                       bounds: Optional[tuple] = None) -> Projection:
+def lattice_commutator(projections: Iterable[Projection]) -> Projection:
     """The largest projection E commuting with every member of S such that
     the compressed family {PE} is pairwise commuting.
 
@@ -154,7 +150,7 @@ def lattice_commutator(projections: Iterable[Projection],
     the two-sided ideal generated by all commutators of A(S). e is the sum
     of the non-commutative central blocks of A(S), so I − e is the sum of
     the commutative ones; the whole computation stays Gaussian-rational.
-    bounds as in proj_from_span, for E = 0 and E = I.
+    E = 0 and E = I are the dimension's zero and identity.
     """
     gens = list(projections)
     if not gens:
@@ -198,7 +194,7 @@ def lattice_commutator(projections: Iterable[Projection],
             if commutator_span.add(_flat(c)):
                 ideal.append(c)
     if not ideal:
-        return bounds[1] if bounds else identity_projection(dim)
+        return identity_projection(dim)
 
     # Close the commutator span into a two-sided ideal of A(S).
     frontier = list(ideal)
@@ -213,8 +209,8 @@ def lattice_commutator(projections: Iterable[Projection],
         frontier = new_frontier
 
     unit = _ideal_unit(ideal)
-    if bounds and unit == eye:
-        return bounds[0]
+    if unit == eye:
+        return zero_projection(dim)
     result = Projection(xm.identity_minus(unit))
     for g in gens:
         if not result.commutes_with(g):
@@ -283,7 +279,7 @@ class SpectralData:
         for p in projs:
             if p.dim != self.dim:
                 raise LatticeError("eigenprojection dimension mismatch")
-            if p.is_zero():
+            if p == zero_projection(self.dim):
                 raise LatticeError("zero eigenprojection not allowed")
         for i, p in enumerate(projs):
             for q in projs[i + 1:]:
@@ -292,7 +288,7 @@ class SpectralData:
         total = xm.zeros(self.dim, self.dim)
         for p in projs:
             total = xm.mat_add(total, p.matrix)
-        if total != xm.identity(self.dim):
+        if total != identity_projection(self.dim).matrix:
             raise LatticeError("eigenprojections must sum to the identity")
 
     def eigenvalues(self) -> list:

@@ -271,6 +271,62 @@ def test_projection_lattice_complements_each_value_once(monkeypatch):
     assert calls == [p]
 
 
+def test_bounds_are_one_object_per_dimension():
+    from lvset.projections import (identity_projection, lattice_commutator,
+                                   subspace_join, subspace_meet,
+                                   zero_projection)
+    assert ProjectionLattice(3).top() is ProjectionLattice(3).top() is identity_projection(3)
+    assert ProjectionLattice(3).bottom() is zero_projection(3)
+    assert zero_projection(3) is not zero_projection(2)
+    p = proj_from_span([(gq(1), gq(0))], 2)
+    q = proj_from_span([(gq(1), gq(1))], 2)
+    assert subspace_meet(p, q) is zero_projection(2)
+    assert subspace_join(p, q) is identity_projection(2)
+    assert lattice_commutator([p, q]) is zero_projection(2)
+    assert lattice_commutator([p]) is identity_projection(2)
+    assert proj_from_span([(gq(0), gq(0))], 2) is zero_projection(2)
+
+
+def test_projection_lattice_leq_answers_trivial_pairs_by_law(monkeypatch):
+    # a ≤ a, 0 ≤ b, a ≤ 1, 1 ≤ b and a ≤ 0 never reach the exact product;
+    # equal but distinct objects count as equal
+    from lvset.generators import random_projection
+    from lvset.projections import (Projection, identity_projection,
+                                   zero_projection)
+    real = Projection.leq
+    calls = []
+
+    def counted(self, other):
+        calls.append((self, other))
+        return real(self, other)
+
+    monkeypatch.setattr(Projection, "leq", counted)
+    rng = random.Random(43)
+    for dim in (2, 3, 4):
+        lat = ProjectionLattice(dim)
+        zero, one = zero_projection(dim), identity_projection(dim)
+        ps = [random_projection(rng, dim, rank=rng.randint(1, dim - 1))
+              for _ in range(4)]
+        column = next(c for c in zip(*ps[0].matrix) if any(x for x in c))
+        values = ps + [proj_from_span([column], dim), Projection(ps[1].matrix),
+                       zero, one, Projection(zero.matrix), Projection(one.matrix)]
+        for a, b in product(values, repeat=2):
+            before = len(calls)
+            assert lat.leq(a, b) == real(a, b)
+            if a == b or zero in (a, b) or one in (a, b):
+                assert len(calls) == before
+        assert calls
+        for a, b in calls:
+            assert a != b and zero not in (a, b) and one not in (a, b)
+        calls.clear()
+    lat = ProjectionLattice(2)
+    for a, b in ((zero_projection(2), identity_projection(3)),
+                 (identity_projection(3), identity_projection(2)),
+                 (zero_projection(3), zero_projection(2))):
+        with pytest.raises(LatticeError, match="dimension mismatch"):
+            lat.leq(a, b)
+
+
 def test_lattice_commutator_method():
     from lvset.generators import random_projection
     from lvset.projections import (commutator_pair_closed_form,

@@ -89,10 +89,11 @@ def test_qreal_cuts_reuse_bounds_and_eigenprojections():
 
 
 def test_prob_equal_builds_each_projection_once(monkeypatch):
-    # one lattice for both reals: its two bounds, one partial sum per real
-    # (the other cuts are eigenprojections or bounds), the complements of
-    # the first two cuts and of the shared second one, and one meet of rank 1.
-    # Meets and joins of rank 0 or 3 are the lattice's bounds.
+    # one lattice for both reals: one partial sum per real (the other cuts
+    # are eigenprojections or bounds), the complements of the first two cuts
+    # and of the shared second one, and one meet of rank 1. Meets and joins
+    # of rank 0 or 3 are the dimension's zero and identity, built before
+    # counting so the count does not depend on which test built them first.
     def e(*xs):
         return tuple(gq(x) for x in xs)
 
@@ -101,6 +102,7 @@ def test_prob_equal_builds_each_projection_once(monkeypatch):
                                    (Fraction(2), proj_from_span([e(1, -1, 0)], 3)),
                                    (Fraction(3), proj_from_span([e(0, 0, 1)], 3))))
     state = StateVector(e(1, 2, 1))
+    zero_projection(3), identity_projection(3)
     calls = []
     real = Projection.__init__
 
@@ -111,7 +113,7 @@ def test_prob_equal_builds_each_projection_once(monkeypatch):
     monkeypatch.setattr(Projection, "__init__", counted)
     result = prob_equal(a, b, state)
     monkeypatch.undo()
-    assert len(calls) == 8
+    assert len(calls) == 6
     assert result.element == proj_from_span([e(0, 0, 1)], 3)
     assert result.value == Fraction(1, 6) and result.model_dependent
 
@@ -436,14 +438,15 @@ def test_real_predicate_matches_the_formula_route():
 
 
 def test_real_predicate_on_long_grids():
-    # 60 half-integer points besides the spectrum, in the projection lattice
+    # 60 and 400 half-integer points besides the spectrum, in the
+    # projection lattice
     sd = random_spectral_data(random.Random(93), 2, n_eigenvalues=2)
-    q = qreal_from_spectral(sd, sd.eigenvalues()).refined(
-        Fraction(2 * k + 1, 2) for k in range(-30, 30))
-    assert len(q.grid) >= 60
-    assert real_predicate_truth(q) == q.lattice.top()
-    # 122 points over a Boolean lattice: the same recursion depth at a
-    # fraction of the cost, under the default recursion limit
+    for half in (30, 200):
+        q = qreal_from_spectral(sd, sd.eigenvalues()).refined(
+            Fraction(2 * k + 1, 2) for k in range(-half, half))
+        assert len(q.grid) >= 2 * half
+        assert real_predicate_truth(q) == q.lattice.top()
+    # 122 points over a Boolean lattice
     lat = BooleanLattice(2)
     cuts = [0] * 40 + [lat.atom(0)] * 40 + [lat.top()] * 42
     q = QReal(lat, tuple(range(122)), tuple(cuts))
