@@ -1,4 +1,5 @@
-"""The set-theory formula language: lexer, parser, desugaring, evaluator.
+"""The set-theory formula language: lexer, parser, desugaring, and an
+evaluator that compiles each formula once to closures.
 
 Grammar (precedence low to high: -> | & ~; quantifier bodies extend
 maximally right):
@@ -436,6 +437,10 @@ class Environment:
                 raise FormulaError(f"binding {name!r} is not a QSet")
             if q.lattice != lattice:
                 raise FormulaError(f"binding {name!r} belongs to a different lattice")
+        if self.session.lattice != lattice:
+            raise FormulaError("the session belongs to a different lattice")
+        if fragment is not None and fragment.lattice != lattice:
+            raise FormulaError("the fragment belongs to a different lattice")
 
 
 def eval_formula(formula, env: Environment, trace: Optional[list] = None):
@@ -447,49 +452,80 @@ def eval_formula(formula, env: Environment, trace: Optional[list] = None):
 def eval_core(core, free: AbstractSet[str], env: Environment, trace: Optional[list] = None):
     """eval_formula on an already desugared formula with free variables
     `free`, for callers that evaluate one formula many times."""
+    return compile_core(core, free, env, trace)(env.bindings)
+
+
+def compile_core(core, free: AbstractSet[str], env: Environment,
+                 trace: Optional[list] = None):
+    """Compile a desugared formula with free variables `free`, once, into
+    nested closures. The result maps a scope that binds every free variable,
+    as env.bindings must, to the formula's truth value.
+
+    The closures hold the lattice operations and the session's memoized
+    membership and equality recursion, so a run dispatches on no node type. Atoms skip the session's lattice
+    check: every QSet in a scope must already belong to env.lattice.
+    Trace notes are appended in post-order, as each node's value is known."""
     missing = free - set(env.bindings)
     if missing:
         raise FormulaError(f"unbound identifiers: {', '.join(sorted(missing))}")
-    return _eval(core, env, env.bindings, trace)
-
-
-def _eval(node, env: Environment, scope: dict, trace):
-    """`scope` maps each variable in scope to its QSet: the environment's
-    bindings, then each enclosing quantifier's variable."""
     lat = env.lattice
-    if isinstance(node, Eq):
-        rule, out = "R9", env.session.truth_equality(scope[node.left.name],
-                                                     scope[node.right.name])
-    elif isinstance(node, In):
-        rule, out = "R8", env.session.truth_membership(scope[node.left.name],
-                                                       scope[node.right.name])
-    elif isinstance(node, Not):
-        rule, out = "R1", lat.ortho(_eval(node.body, env, scope, trace))
-    elif isinstance(node, And):
-        rule, out = "R2", lat.meet(_eval(node.left, env, scope, trace),
-                                   _eval(node.right, env, scope, trace))
-    elif isinstance(node, ForallIn):
-        rule, out = "R3", lat.big_meet(
-            lat.sasaki_arrow(value, _eval(node.body, env, {**scope, node.var: x}, trace))
-            for x, value in scope[node.bound.name].entries
-        )
-    elif isinstance(node, Forall):
-        if env.fragment is None:
-            raise FormulaError(
-                "unbounded quantifier needs an ambient fragment in the environment")
-        message = (f"unbounded quantifier evaluated over a {len(env.fragment)}-member "
-                   f"fragment (truncation of the full universe)")
-        if message not in env.notes:
-            env.notes.append(message)
-        rule, out = "R4", lat.big_meet(
-            _eval(node.body, env, {**scope, node.var: m}, trace)
-            for m in env.fragment
-        )
-    else:
-        raise FormulaError(f"cannot evaluate {type(node).__name__} (not a core node)")
-    if trace is not None:  # element_repr can cost a row reduction
-        _note(trace, rule, node, lat.element_repr(out))
-    return out
+    meet, ortho, big_meet, arrow = lat.meet, lat.ortho, lat.big_meet, lat.sasaki_arrow
+    relations = {Eq: ("R9", env.session._equality_value),
+                 In: ("R8", env.session._membership_value)}
+
+    def build(node):
+        kind = type(node)
+        if kind in relations:
+            rule, relation = relations[kind]
+            left, right = node.left.name, node.right.name
+
+            def run(scope):
+                return relation(scope[left], scope[right])
+        elif kind is Not:
+            rule, body = "R1", build(node.body)
+
+            def run(scope):
+                return ortho(body(scope))
+        elif kind is And:
+            rule, left, right = "R2", build(node.left), build(node.right)
+
+            def run(scope):
+                return meet(left(scope), right(scope))
+        elif kind is ForallIn:
+            rule, var, bound, body = "R3", node.var, node.bound.name, build(node.body)
+
+            def run(scope):
+                return big_meet(arrow(value, body({**scope, var: x}))
+                                for x, value in scope[bound].entries)
+        elif kind is Forall:
+            rule, var, body = "R4", node.var, build(node.body)
+            fragment, notes = env.fragment, env.notes
+
+            def run(scope):
+                if fragment is None:
+                    raise FormulaError(
+                        "unbounded quantifier needs an ambient fragment in the environment")
+                message = (f"unbounded quantifier evaluated over a {len(fragment)}-member "
+                           f"fragment (truncation of the full universe)")
+                if message not in notes:
+                    notes.append(message)
+                return big_meet(body({**scope, var: m}) for m in fragment)
+        else:
+            raise FormulaError(f"cannot evaluate {kind.__name__} (not a core node)")
+        if trace is None:
+            return run
+        return _traced(run, rule, node, lat, trace)
+
+    return build(core)
+
+
+def _traced(run, rule: str, node, lattice, trace: list):
+    def traced(scope):
+        out = run(scope)
+        # element_repr can cost a row reduction, so only a trace pays it
+        _note(trace, rule, node, lattice.element_repr(out))
+        return out
+    return traced
 
 
 def _note(trace, rule: str, node, result: str):

@@ -270,6 +270,8 @@ class SpectralData:
     eigen: tuple  # ((Fraction eigenvalue, Projection), ...) sorted by eigenvalue
 
     def __post_init__(self):
+        if not isinstance(self.dim, int) or self.dim < 1:
+            raise LatticeError(f"spectral data needs dimension >= 1, got {self.dim!r}")
         pairs = tuple(sorted(self.eigen, key=lambda t: t[0]))
         object.__setattr__(self, "eigen", pairs)
         values = [v for v, _ in pairs]
@@ -312,6 +314,8 @@ def matrix_to_json(m: xm.Matrix) -> list:
 
 
 def matrix_from_json(rows) -> xm.Matrix:
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise LatticeError("a matrix must be a list of rows, each a list of entries")
     return xm.mat([parse_entry(x) for x in row] for row in rows)
 
 

@@ -141,6 +141,11 @@ class EvalSession:
         self.lattice = lattice
         self._membership: dict = {}
         self._equality: dict = {}
+        # closures compiled against this session (formula.compile_core), by
+        # what they evaluate. They hold the session's methods, so they live
+        # and die with it; a table outside it, even with weak keys, would
+        # keep every session alive.
+        self.programs: dict = {}
 
     def _check(self, u: QSet, v: QSet):
         if u.lattice != self.lattice or v.lattice != self.lattice:

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from . import fragment_tables as ft
-from .formula import (Environment, Exists, Forall, children, desugar, eval_core,
+from .formula import (Environment, Exists, Forall, children, compile_core, desugar,
                       free_variables, parse)
 from .lattice import BooleanLattice, Lattice, LatticeError, ProjectionLattice
 from .projections import Projection
@@ -45,11 +45,13 @@ class Schema:
     formula: object = field(init=False, compare=False)  # parse(text)
     core: object = field(init=False, compare=False)  # desugar(formula)
     free: frozenset = field(init=False, compare=False)  # free_variables(core)
+    names: tuple = field(init=False, compare=False)  # x1..x{arity}
 
     def __post_init__(self):
         object.__setattr__(self, "formula", parse(self.text))
         object.__setattr__(self, "core", desugar(self.formula))
         object.__setattr__(self, "free", frozenset(free_variables(self.core)))
+        object.__setattr__(self, "names", tuple(f"x{i + 1}" for i in range(self.arity)))
 
 
 def _build_empty(lattice: Lattice, args: tuple) -> dict:
@@ -96,6 +98,12 @@ THEOREM_SCHEMAS = [s for s in CATALOG if not s.is_control]
 DEFAULT_CROSS_CHECK = 180
 
 
+def _check_arguments(args: Iterable, lattice: Lattice) -> None:
+    for a in args:
+        if not isinstance(a, QSet) or a.lattice != lattice:
+            raise LatticeError("instance arguments must be QSets of the instance lattice")
+
+
 @dataclass(frozen=True)
 class TheoremInstance:
     schema: Schema
@@ -107,12 +115,10 @@ class TheoremInstance:
             raise LatticeError(
                 f"schema {self.schema.name} takes {self.schema.arity} arguments, "
                 f"got {len(self.args)}")
-        for a in self.args:
-            if not isinstance(a, QSet) or a.lattice != self.lattice:
-                raise LatticeError("instance arguments must be QSets of the instance lattice")
+        _check_arguments(self.args, self.lattice)
 
     def bindings(self) -> dict:
-        out = {f"x{i + 1}": a for i, a in enumerate(self.args)}
+        out = dict(zip(self.schema.names, self.args))
         if self.schema.build is not None:
             out.update(self.schema.build(self.lattice, self.args))
         return out
@@ -131,8 +137,20 @@ def has_unbounded_quantifier(formula) -> bool:
 
 
 def evaluate_instance(inst: TheoremInstance, session: Optional[EvalSession] = None):
-    env = Environment(inst.lattice, inst.bindings(), session=session)
-    return eval_core(inst.schema.core, inst.schema.free, env)
+    """The truth value of one instance. A session compiles each schema it
+    meets once and keeps the closures, so every later instance of that
+    schema in the session costs one closure run."""
+    if session is None:
+        session = EvalSession(inst.lattice)
+    elif session.lattice != inst.lattice:
+        raise LatticeError("the instance belongs to a different lattice than the session")
+    bindings = inst.bindings()
+    program = session.programs.get(inst.schema)
+    if program is None:
+        env = Environment(inst.lattice, bindings, session=session)
+        program = session.programs[inst.schema] = compile_core(
+            inst.schema.core, inst.schema.free, env)
+    return program(bindings)
 
 
 def hereditary_values(args: Iterable[QSet]) -> list:
@@ -412,11 +430,17 @@ def transfer_suite(members: Sequence[QSet], lattice: Lattice,
                    rng: Optional[random.Random] = None,
                    max_tuples_per_schema: Optional[int] = None) -> SuiteReport:
     """Transfer inequality [[phi(args)]] >= commutator(args) for every
-    catalog theorem over all argument tuples from the member list."""
+    catalog theorem over all argument tuples from the member list.
+
+    The members are checked once, before any tuple; the session compiles
+    each schema once; each distinct argument set's commutator is taken
+    once."""
     rng = rng or random.Random(0)
+    _check_arguments(members, lattice)
     session = EvalSession(lattice)
     # each member's hereditary values once; a tuple's family is their union
     hereditary = {m: frozenset(hereditary_values((m,))) for m in members}
+    commutators: dict = {}  # frozenset(args) -> commutator of their family
     sweeps = []
     for schema in THEOREM_SCHEMAS:
         count = len(members) ** schema.arity
@@ -431,7 +455,11 @@ def transfer_suite(members: Sequence[QSet], lattice: Lattice,
         for args in tuples:
             inst = TheoremInstance(schema, lattice, args)
             value = evaluate_instance(inst, session)
-            com = lattice.commutator(frozenset().union(*(hereditary[a] for a in args)))
+            key = frozenset(args)
+            com = commutators.get(key)
+            if com is None:
+                com = commutators[key] = lattice.commutator(
+                    frozenset().union(*(hereditary[a] for a in args)))
             if not lattice.leq(com, value):
                 passed = False
                 witness = inst.serialize()

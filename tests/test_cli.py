@@ -283,6 +283,107 @@ def test_check_transfer_cli(session, capsys):
     assert "overall: pass" in out
 
 
+# Literal outputs, pinned when formulas were still evaluated by a tree walk:
+# the compiled evaluator must write the same notes in the same order.
+PINNED_FORMULA = "exists t . t in u -> forall y in u . y = t | ~y in t"
+PINNED_TRACE = "\n".join([
+    "1",
+    "note: unbounded quantifier evaluated over a 1-member fragment "
+    "(truncation of the full universe)",
+    "  R7     exists t . t in u -> (forall y in u . y = t | ~y in t)  =>  ~ forall x . ~phi",
+    "  sasaki t in u -> (forall y in u . y = t | ~y in t)  =>  ~(phi & ~(phi & psi))",
+    "  R5     y = t | ~y in t  =>  ~(~phi & ~psi)",
+    "  R8     t in u  =>  a0",
+    "  R8     t in u  =>  a0",
+    "  R9     y = t  =>  1",
+    "  R1     ~y = t  =>  0",
+    "  R8     y in t  =>  0",
+    "  R1     ~y in t  =>  1",
+    "  R1     ~~y in t  =>  0",
+    "  R2     ~y = t & ~~y in t  =>  0",
+    "  R1     ~(~y = t & ~~y in t)  =>  1",
+    "  R3     forall y in u . ~(~y = t & ~~y in t)  =>  1",
+    "  R2     t in u & (forall y in u . ~(~y = t & ~~y in t))  =>  a0",
+    "  R1     ~(t in u & (forall y in u . ~(~y = t & ~~y in t)))  =>  a1",
+    "  R2     t in u & ~(t in u & (forall y in u . ~(~y = t & ~~y in t)))  =>  0",
+    "  R1     ~(t in u & ~(t in u & (forall y in u . ~(~y = t & ~~y in t))))  =>  1",
+    "  R1     ~~(t in u & ~(t in u & (forall y in u . ~(~y = t & ~~y in t))))  =>  0",
+    "  R4     forall t . ~~(t in u & ~(t in u & (forall y in u . ~(~y = t & ~~y in t))))"
+    "  =>  0",
+    "  R1     ~(forall t . ~~(t in u & ~(t in u & (forall y in u . ~(~y = t & ~~y in t)))))"
+    "  =>  1",
+]) + "\n"
+PINNED_TRACE_JSON = (
+    '{"formula": "exists t . t in u -> forall y in u . y = t | ~y in t", "not'
+    'es": ["unbounded quantifier evaluated over a 1-member fragment (truncati'
+    'on of the full universe)"], "repr": "1", "trace": [{"formula": "exists t'
+    ' . t in u -> (forall y in u . y = t | ~y in t)", "result": "~ forall x .'
+    ' ~phi", "rule": "R7"}, {"formula": "t in u -> (forall y in u . y = t | ~'
+    'y in t)", "result": "~(phi & ~(phi & psi))", "rule": "sasaki"}, {"formul'
+    'a": "y = t | ~y in t", "result": "~(~phi & ~psi)", "rule": "R5"}, {"form'
+    'ula": "t in u", "result": "a0", "rule": "R8"}, {"formula": "t in u", "re'
+    'sult": "a0", "rule": "R8"}, {"formula": "y = t", "result": "1", "rule": '
+    '"R9"}, {"formula": "~y = t", "result": "0", "rule": "R1"}, {"formula": "'
+    'y in t", "result": "0", "rule": "R8"}, {"formula": "~y in t", "result": '
+    '"1", "rule": "R1"}, {"formula": "~~y in t", "result": "0", "rule": "R1"}'
+    ', {"formula": "~y = t & ~~y in t", "result": "0", "rule": "R2"}, {"formu'
+    'la": "~(~y = t & ~~y in t)", "result": "1", "rule": "R1"}, {"formula": "'
+    'forall y in u . ~(~y = t & ~~y in t)", "result": "1", "rule": "R3"}, {"f'
+    'ormula": "t in u & (forall y in u . ~(~y = t & ~~y in t))", "result": "a'
+    '0", "rule": "R2"}, {"formula": "~(t in u & (forall y in u . ~(~y = t & ~'
+    '~y in t)))", "result": "a1", "rule": "R1"}, {"formula": "t in u & ~(t in'
+    ' u & (forall y in u . ~(~y = t & ~~y in t)))", "result": "0", "rule": "R'
+    '2"}, {"formula": "~(t in u & ~(t in u & (forall y in u . ~(~y = t & ~~y '
+    'in t))))", "result": "1", "rule": "R1"}, {"formula": "~~(t in u & ~(t in'
+    ' u & (forall y in u . ~(~y = t & ~~y in t))))", "result": "0", "rule": "'
+    'R1"}, {"formula": "forall t . ~~(t in u & ~(t in u & (forall y in u . ~('
+    '~y = t & ~~y in t))))", "result": "0", "rule": "R4"}, {"formula": "~(for'
+    'all t . ~~(t in u & ~(t in u & (forall y in u . ~(~y = t & ~~y in t)))))'
+    '", "result": "1", "rule": "R1"}], "value": 3}\n')
+PINNED_TRANSFER_JSON = (
+    '{"lattice": {"dim": 2, "kind": "projection"}, "notes": [], "passed": tru'
+    'e, "suite": "transfer", "sweeps": [{"coverage": "all tuples", "instances'
+    '": 5, "notes": [], "passed": true, "schema": "eq-reflexivity", "witness"'
+    ': null}, {"coverage": "all tuples", "instances": 25, "notes": [], "passe'
+    'd": true, "schema": "eq-symmetry", "witness": null}, {"coverage": "all t'
+    'uples", "instances": 125, "notes": [], "passed": true, "schema": "eq-tra'
+    'nsitivity", "witness": null}, {"coverage": "all tuples", "instances": 25'
+    ', "notes": [], "passed": true, "schema": "extensionality", "witness": nu'
+    'll}, {"coverage": "all tuples", "instances": 125, "notes": [], "passed":'
+    ' true, "schema": "and-weakening", "witness": null}, {"coverage": "all tu'
+    'ples", "instances": 1, "notes": [], "passed": true, "schema": "empty-set'
+    '", "witness": null}, {"coverage": "all tuples", "instances": 25, "notes"'
+    ': [], "passed": true, "schema": "pairing", "witness": null}, {"coverage"'
+    ': "all tuples", "instances": 125, "notes": [], "passed": true, "schema":'
+    ' "subst-membership-left", "witness": null}, {"coverage": "all tuples", "'
+    'instances": 125, "notes": [], "passed": true, "schema": "subst-membershi'
+    'p-right", "witness": null}]}\n')
+
+
+def test_eval_trace_output_is_pinned(session, capsys):
+    run(capsys, "lattice", "B", "--boolean", "2", "--session", session)
+    run(capsys, "set", "e", "--lattice", "B", "--empty", "--session", session)
+    run(capsys, "set", "u", "--lattice", "B", "--literal", '{e: "a0"}',
+        "--session", session)
+    run(capsys, "enumerate", "G", "--lattice", "B", "--max-rank", "1", "--session", session)
+    code, out, err = run(capsys, "eval", PINNED_FORMULA, "--fragment", "G", "--trace",
+                         "--session", session)
+    assert (code, out, err) == (0, PINNED_TRACE, "")
+    code, out, err = run(capsys, "eval", PINNED_FORMULA, "--fragment", "G", "--trace",
+                         "--json", "--session", session)
+    assert (code, out, err) == (0, PINNED_TRACE_JSON, "")
+
+
+def test_check_transfer_json_is_pinned(session, capsys):
+    run(capsys, "lattice", "P", "--projection", "2", "--session", session)
+    run(capsys, "obs", "A", "--diag", "1,2", "--session", session)
+    run(capsys, "enumerate", "F", "--lattice", "P", "--max-rank", "2",
+        "--values-from", "A", "--session", session)
+    code, out, err = run(capsys, "check", "transfer", "--fragment", "F", "--json",
+                         "--session", session)
+    assert (code, out, err) == (0, PINNED_TRANSFER_JSON, "")
+
+
 def test_check_equality_axiom_demo_and_boolean(session, capsys):
     code, out, err = run(capsys, "check", "equality-axiom", "--demo",
                          "--session", session)
@@ -404,6 +505,26 @@ def test_malformed_documents_exit_4(tmp_path, capsys):
     code, out, err = run(capsys, "set", "x", "--lattice", "P",
                          "--literal", "{x: [[1, 0]", "--session", session)
     assert code == 2
+
+
+@pytest.mark.parametrize("literal", ["{e: 1}", "{e: [1]}", '{e: "1"}', "{e: {}}",
+                                     "{e: [[1, 0]]}"])
+def test_projection_literal_that_is_not_a_square_matrix_exits_4(session, capsys, literal):
+    run(capsys, "lattice", "P", "--projection", "2", "--session", session)
+    run(capsys, "set", "e", "--lattice", "P", "--empty", "--session", session)
+    code, out, err = run(capsys, "set", "f", "--lattice", "P", "--literal", literal,
+                         "--session", session)
+    assert code == 4, literal
+    assert "matri" in _one_line_error(err)
+
+
+@pytest.mark.parametrize("dim", [-1, 0])
+def test_spectral_file_with_dimension_below_one_exits_4(tmp_path, session, capsys, dim):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"dim": dim, "eigen": []}))
+    code, out, err = run(capsys, "obs", "Z", "--file", str(path), "--session", session)
+    assert code == 4 and out == ""
+    assert "dimension >= 1" in _one_line_error(err)
 
 
 @pytest.mark.parametrize("failing", ["serialize", "replace"])

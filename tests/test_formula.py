@@ -1,17 +1,21 @@
-"""Formula grammar, desugaring, and recursive truth evaluation."""
+"""Formula grammar, desugaring, and compiled truth evaluation."""
+
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lvset.formula import (MAX_DEPTH, And, Environment, Eq, Exists, ExistsIn,
                            Forall, ForallIn, FormulaError, Implies, In, Not,
-                           Or, Var, desugar, eval_formula, formula_from_json,
-                           formula_to_json, free_variables, is_core, parse,
-                           parse_formula_lines, to_text)
+                           Or, Var, desugar, eval_core, eval_formula,
+                           formula_from_json, formula_to_json, free_variables,
+                           is_core, parse, parse_formula_lines, to_text)
 from lvset.exactnum import gq
+from lvset.generators import random_qset_pool
 from lvset.lattice import BooleanLattice, ProjectionLattice
 from lvset.projections import proj_from_span
-from lvset.universe import (EvalSession, empty_qset, enumerate_fragment,
-                            make_qset)
+from lvset.universe import (EvalSession, UniverseFragment, empty_qset,
+                            enumerate_fragment, make_qset)
 
 
 def test_parse_atoms():
@@ -365,3 +369,115 @@ def test_non_contradiction_instances_hold_everywhere():
             env = Environment(plat, bindings={"x": u, "y": v}, session=session)
             assert eval_formula(phi, env) == plat.top()
             assert eval_formula(psi, env) == plat.top()
+
+
+# ------------------------------------------- compiled evaluator vs tree walk
+
+def reference_eval(node, env, scope, trace):
+    """The recursive tree walk that evaluated core formulas before they were
+    compiled, kept as an oracle: one isinstance dispatch per node, atoms
+    through the session's checked entry points."""
+    lat = env.lattice
+    if isinstance(node, Eq):
+        rule, out = "R9", env.session.truth_equality(scope[node.left.name],
+                                                     scope[node.right.name])
+    elif isinstance(node, In):
+        rule, out = "R8", env.session.truth_membership(scope[node.left.name],
+                                                       scope[node.right.name])
+    elif isinstance(node, Not):
+        rule, out = "R1", lat.ortho(reference_eval(node.body, env, scope, trace))
+    elif isinstance(node, And):
+        rule, out = "R2", lat.meet(reference_eval(node.left, env, scope, trace),
+                                   reference_eval(node.right, env, scope, trace))
+    elif isinstance(node, ForallIn):
+        rule, out = "R3", lat.big_meet(
+            lat.sasaki_arrow(value, reference_eval(node.body, env, {**scope, node.var: x},
+                                                   trace))
+            for x, value in scope[node.bound.name].entries
+        )
+    elif isinstance(node, Forall):
+        message = (f"unbounded quantifier evaluated over a {len(env.fragment)}-member "
+                   f"fragment (truncation of the full universe)")
+        if message not in env.notes:
+            env.notes.append(message)
+        rule, out = "R4", lat.big_meet(
+            reference_eval(node.body, env, {**scope, node.var: m}, trace)
+            for m in env.fragment
+        )
+    else:
+        raise FormulaError(f"cannot evaluate {type(node).__name__} (not a core node)")
+    if trace is not None:
+        trace.append({"rule": rule, "formula": to_text(node),
+                      "result": lat.element_repr(out)})
+    return out
+
+
+ORACLE_NAMES = ("a", "b", "x", "y")  # every name is bound, so quantifiers shadow
+_oracle_var = st.sampled_from(ORACLE_NAMES).map(Var)
+_quantified = st.sampled_from(("x", "y"))
+core_formulas = st.recursive(
+    st.builds(Eq, _oracle_var, _oracle_var) | st.builds(In, _oracle_var, _oracle_var),
+    lambda inner: (st.builds(Not, inner) | st.builds(And, inner, inner)
+                   | st.builds(ForallIn, _quantified, _oracle_var, inner)
+                   | st.builds(Forall, _quantified, inner)),
+    max_leaves=6)
+
+
+def _oracle_lattices():
+    plat = ProjectionLattice(2)
+    p = proj_from_span([(gq(1), gq(0))], 2)
+    q = proj_from_span([(gq(1), gq(1))], 2)
+    blat = BooleanLattice(2)
+    return {"boolean": (blat, list(blat.elements())),
+            "projection": (plat, [plat.bottom(), plat.top(), p, plat.ortho(p), q])}
+
+
+ORACLE_LATTICES = _oracle_lattices()  # shared, so the lattice memos carry over
+
+
+@settings(max_examples=80, deadline=None)
+@given(core=core_formulas, kind=st.sampled_from(sorted(ORACLE_LATTICES)),
+       seed=st.integers(0, 2 ** 16), picks=st.lists(st.integers(0, 5), min_size=4,
+                                                     max_size=4))
+def test_compiled_evaluation_matches_the_tree_walk(core, kind, seed, picks):
+    lat, values = ORACLE_LATTICES[kind]
+    pool = random_qset_pool(random.Random(seed), lat, values, 6)
+    fragment = UniverseFragment(lat, pool)  # a pool is dom-closed and ordered
+    bindings = {name: pool[i] for name, i in zip(ORACLE_NAMES, picks)}
+    free = free_variables(core)
+
+    expected_env = Environment(lat, bindings, fragment=fragment)
+    expected_trace = []
+    expected = reference_eval(core, expected_env, expected_env.bindings, expected_trace)
+
+    env = Environment(lat, bindings, fragment=fragment)
+    trace = []
+    assert eval_core(core, free, env, trace) == expected
+    assert trace == expected_trace
+    assert env.notes == expected_env.notes
+    # without a trace the same closures run, and the session memo is shared
+    assert eval_core(core, free, env) == expected
+
+
+def test_compiled_evaluation_keeps_the_error_order():
+    lat = BooleanLattice(1)
+    e = empty_qset(lat)
+    env = Environment(lat, {"e": e})
+    # an unbound identifier is refused before anything runs
+    trace = []
+    with pytest.raises(FormulaError, match="unbound identifiers: z"):
+        eval_formula(parse("e = e & z = e"), env, trace)
+    assert trace == []
+    # a missing fragment shows when the quantifier is reached, after its
+    # left sibling has been traced
+    with pytest.raises(FormulaError, match="ambient fragment"):
+        eval_formula(parse("e = e & forall t . t = e"), env, trace)
+    assert [step["rule"] for step in trace] == ["R9"]
+
+
+def test_environment_refuses_a_session_or_fragment_of_another_lattice():
+    lat, other = BooleanLattice(1), BooleanLattice(2)
+    with pytest.raises(FormulaError, match="session"):
+        Environment(lat, session=EvalSession(other))
+    with pytest.raises(FormulaError, match="fragment"):
+        Environment(lat, fragment=enumerate_fragment(other, 1))

@@ -167,6 +167,21 @@ def test_spectral_data_validation_and_reconstruction():
         SpectralData(dim=2, eigen=((Fraction(1), proj_from_span([(gq(1), gq(0))], 2)),))
 
 
+@pytest.mark.parametrize("dim", [-1, 0, "2"])
+def test_spectral_data_needs_dimension_one_or_more(dim):
+    # an empty eigen list sums to the empty identity, so only this check stops it
+    with pytest.raises(LatticeError, match="dimension >= 1"):
+        SpectralData(dim=dim, eigen=())
+    with pytest.raises(LatticeError, match="dimension >= 1"):
+        spectral_from_json({"dim": dim, "eigen": []})
+
+
+@pytest.mark.parametrize("rows", [1, [1], "10", {}, [[1, 0], 1]])
+def test_matrix_from_json_needs_a_list_of_lists(rows):
+    with pytest.raises(LatticeError, match="list of rows"):
+        matrix_from_json(rows)
+
+
 def test_projection_for_lookup():
     sd = SpectralData(dim=2, eigen=(
         (Fraction(0), proj_from_span([(gq(0), gq(1))], 2)),

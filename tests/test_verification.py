@@ -221,6 +221,77 @@ def test_sampled_transfer_suite_builds_only_its_sample():
             assert (sweep.coverage, sweep.instances) == ("sampled tuples", 10)
 
 
+def test_transfer_suite_witnesses_match_the_per_tuple_run(monkeypatch):
+    # with every commutator forced to 1, each schema that is not 1 on every
+    # tuple fails; the suite must stop at the same first tuple as the oracle
+    lat, p, q = dim2_lattice()
+    members = violation_demo_collection(lat, p, q)
+    monkeypatch.setattr(lat, "commutator", lambda values: lat.top())
+    suite = transfer_suite(members, lat)
+    assert not suite.passed()
+    assert any(s.witness is not None for s in suite.sweeps)
+    assert suite.to_json() == _transfer_suite_per_tuple(members, lat).to_json()
+
+
+@pytest.mark.parametrize("max_tuples", [None, 1])
+@pytest.mark.parametrize("bad", ["not a qset", "other lattice"])
+def test_transfer_suite_checks_its_members_before_any_tuple(monkeypatch, max_tuples, bad):
+    import lvset.verification as vf
+    lat, p, q = dim2_lattice()
+    members = violation_demo_collection(lat, p, q)
+    members.append(bad if bad == "not a qset" else empty_qset(ProjectionLattice(3)))
+    evaluated = []
+    real_evaluate = vf.evaluate_instance
+    monkeypatch.setattr(vf, "evaluate_instance",
+                        lambda inst, session=None: evaluated.append(inst)
+                        or real_evaluate(inst, session))
+    with pytest.raises(LatticeError, match="QSets of the instance lattice"):
+        # with one sampled tuple per schema the bad member is rarely drawn
+        transfer_suite(members, lat, rng=random.Random(0), max_tuples_per_schema=max_tuples)
+    assert evaluated == []
+
+
+def test_evaluate_instance_compiles_each_schema_once_per_session(monkeypatch):
+    import lvset.verification as vf
+    lat, p, q = dim2_lattice()
+    members = violation_demo_collection(lat, p, q)
+    compiled = []
+    real_compile = vf.compile_core
+    monkeypatch.setattr(vf, "compile_core",
+                        lambda core, free, env: compiled.append(core)
+                        or real_compile(core, free, env))
+    transfer_suite(members, lat)
+    assert compiled == [schema.core for schema in THEOREM_SCHEMAS]
+    # a session is refused for an instance of another lattice, also when it
+    # has compiled the schema already
+    blat = BooleanLattice(1)
+    session = EvalSession(blat)
+    schema = CATALOG_BY_NAME["eq-reflexivity"]
+    boolean_inst = TheoremInstance(schema, blat, (empty_qset(blat),))
+    assert vf.evaluate_instance(boolean_inst, session) == blat.top()
+    with pytest.raises(LatticeError, match="different lattice"):
+        vf.evaluate_instance(TheoremInstance(schema, lat, (members[0],)), session)
+
+
+def test_sessions_are_freed_after_their_compiled_schemas():
+    # the closures a session keeps hold its methods; nothing outside the
+    # session may keep them, or every session of a suite would stay alive
+    import gc
+    import weakref
+
+    import lvset.verification as vf
+    lat, p, q = dim2_lattice()
+    members = violation_demo_collection(lat, p, q)
+    session = EvalSession(lat)
+    schema = CATALOG_BY_NAME["eq-reflexivity"]
+    assert vf.evaluate_instance(TheoremInstance(schema, lat, (members[1],)), session) == lat.top()
+    assert session.programs
+    alive = weakref.ref(session)
+    del session
+    gc.collect()
+    assert alive() is None
+
+
 def _transfer_suite_per_tuple(members, lat):
     """transfer_suite with qset_commutator taken per tuple, as an oracle."""
     import itertools
