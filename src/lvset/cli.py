@@ -582,8 +582,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--session", help="session JSON file to load and save")
     common.add_argument("--json", action="store_true", help="emit JSON output")
-    common.add_argument("--trace", action="store_true",
-                        help="show evaluation rule applications")
 
     parser = argparse.ArgumentParser(
         prog="lvset",
@@ -634,6 +632,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("formula")
     p.add_argument("--fragment", help="fragment for unbounded quantifiers")
     p.add_argument("--lattice", help="lattice for closed formulas")
+    p.add_argument("--trace", action="store_true",
+                   help="show evaluation rule applications")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("check", parents=[common], help="run a check suite")

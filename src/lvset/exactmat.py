@@ -43,10 +43,6 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def identity_minus(a: Matrix) -> Matrix:
     """I − a for square a, with no gcd: gcd(d − x, y, d) = gcd(x, y, d) = 1,
     so every entry (d − x − y·i)/d or (−x − y·i)/d is already reduced."""

@@ -9,11 +9,12 @@ P∧Q ≤ P, ...) holds with zero tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import exactmat as xm
-from .exactnum import GQ, ZERO, format_entry, parse_entry
+from .exactnum import GQ, format_entry, parse_entry
 
 
 class LatticeError(Exception):
@@ -138,111 +139,33 @@ def subspace_join(p: Projection, q: Projection) -> Projection:
     return proj_from_span(_columns(p) + _columns(q), p.dim)
 
 
-def _flat(m: xm.Matrix) -> tuple:
-    return tuple(x for row in m for x in row)
-
-
 def lattice_commutator(projections: Iterable[Projection]) -> Projection:
     """The largest projection E commuting with every member of S such that
     the compressed family {PE} is pairwise commuting.
 
-    Computed inside the word algebra A(S): E = I − e where e is the unit of
-    the two-sided ideal generated by all commutators of A(S). e is the sum
-    of the non-commutative central blocks of A(S), so I − e is the sum of
-    the commutative ones; the whole computation stays Gaussian-rational.
-    E = 0 and E = I are the dimension's zero and identity.
+    E is the join, over every choice of P or P⊥ for each member, of the meet
+    of the choices (Pulmannová, Demonstratio Math. 18, 1985): the span of
+    the family's joint eigenvectors. The members split the identity one at
+    a time into such meets; the nonzero ones are pairwise orthogonal, so at
+    most dim of them survive each step. E = 0 and E = I are the dimension's
+    zero and identity.
     """
     gens = list(projections)
     if not gens:
         raise LatticeError("commutator of an empty family is undefined")
     check_dims(*gens)
     dim = gens[0].dim
-    eye = xm.identity(dim)
-    gen_mats = []
-    seen = set()
-    for g in gens:
-        if g.matrix not in seen:
-            seen.add(g.matrix)
-            gen_mats.append(g.matrix)
-
-    # Word algebra: span of I and all products of generators. The span is
-    # closed under right multiplication by generators once a full round adds
-    # nothing; capped by dim² = dimension of the full matrix algebra.
-    algebra = [eye]
-    span = xm.Span()
-    span.add(_flat(eye))
-    frontier = []
-    for g in gen_mats:
-        if span.add(_flat(g)):
-            algebra.append(g)
-            frontier.append(g)
-    while frontier and span.dim() < dim * dim:
-        new_frontier = []
-        for w in frontier:
-            for g in gen_mats:
-                prod = xm.mat_mul(w, g)
-                if span.add(_flat(prod)):
-                    algebra.append(prod)
-                    new_frontier.append(prod)
-        frontier = new_frontier
-
-    commutator_span = xm.Span()
-    ideal = []
-    for i, a in enumerate(algebra):
-        for b in algebra[i + 1:]:
-            c = xm.mat_sub(xm.mat_mul(a, b), xm.mat_mul(b, a))
-            if commutator_span.add(_flat(c)):
-                ideal.append(c)
-    if not ideal:
-        return identity_projection(dim)
-
-    # Close the commutator span into a two-sided ideal of A(S).
-    frontier = list(ideal)
-    while frontier:
-        new_frontier = []
-        for j in frontier:
-            for g in gen_mats:
-                for prod in (xm.mat_mul(g, j), xm.mat_mul(j, g)):
-                    if commutator_span.add(_flat(prod)):
-                        ideal.append(prod)
-                        new_frontier.append(prod)
-        frontier = new_frontier
-
-    unit = _ideal_unit(ideal)
-    if unit == eye:
-        return zero_projection(dim)
-    result = Projection(xm.identity_minus(unit))
+    zero = zero_projection(dim)
+    blocks = [identity_projection(dim)]
+    for p in dict.fromkeys(gens):
+        pc = p.complement()
+        blocks = [b for m in blocks
+                  for b in (subspace_meet(m, p), subspace_meet(m, pc)) if b is not zero]
+    result = reduce(subspace_join, blocks) if blocks else zero
     for g in gens:
         if not result.commutes_with(g):
             raise LatticeError("internal error: commutator does not commute with inputs")
     return result
-
-
-def _ideal_unit(basis: list) -> xm.Matrix:
-    """Unit element of the (semisimple, *-closed) ideal spanned by basis."""
-    k = len(basis)
-    width = len(basis[0]) ** 2
-    # Solve e·b = b for every basis element b, with e = Σ x_j basis_j.
-    rows = []
-    for b in basis:
-        products = [_flat(xm.mat_mul(bj, b)) for bj in basis]
-        fb = _flat(b)
-        for pos in range(width):
-            rows.append([products[j][pos] for j in range(k)] + [fb[pos]])
-    reduced, pivots = xm.rref(rows)
-    coeffs = [ZERO] * k
-    for r, c in enumerate(pivots):
-        if c == k:
-            raise LatticeError("internal error: commutator ideal has no unit")
-        coeffs[c] = reduced[r][k]
-    unit = xm.zeros(len(basis[0]), len(basis[0]))
-    for x, b in zip(coeffs, basis):
-        if not x.is_zero():
-            unit = xm.mat_add(unit, xm.mat_scale(x, b))
-    for b in basis:
-        if not (xm.product_equals(unit, b, b) and xm.product_equals(b, unit, b)):
-            raise LatticeError("internal error: ideal unit equations are inconsistent")
-    return unit
 
 
 def commutator_pair_closed_form(p: Projection, q: Projection) -> Projection:

@@ -71,16 +71,23 @@ class QSet:
 
 
 def make_qset(lattice: Lattice, entries) -> QSet:
-    """Build a QSet from a mapping or iterable of (QSet, value) pairs."""
+    """Build a QSet from a mapping or iterable of (QSet, value) pairs.
+
+    A QSet is a function on its keys, so a key handle may appear once;
+    distinct handles with equal structure are distinct keys."""
     if isinstance(entries, Mapping):
         pairs = tuple(entries.items())
     else:
         pairs = tuple(entries)
+    seen: set = set()
     for k, v in pairs:
         if not isinstance(k, QSet):
             raise LatticeError(f"QSet keys must be QSets, got {type(k).__name__}")
         if k.lattice != lattice:
             raise LatticeError("key belongs to a different lattice")
+        if k in seen:
+            raise LatticeError("a key appears twice; a set has one value per key")
+        seen.add(k)
         lattice.check_element(v)
     return QSet(lattice, pairs)
 

@@ -59,8 +59,9 @@ def _build_empty(lattice: Lattice, args: tuple) -> dict:
 
 
 def _build_pair(lattice: Lattice, args: tuple) -> dict:
+    """{x1, x2}, with one entry when x1 and x2 are the same set."""
     top = lattice.top()
-    return {"c1": make_qset(lattice, ((args[0], top), (args[1], top)))}
+    return {"c1": make_qset(lattice, [(a, top) for a in dict.fromkeys(args)])}
 
 
 CATALOG = [
@@ -434,7 +435,10 @@ def transfer_suite(members: Sequence[QSet], lattice: Lattice,
 
     The members are checked once, before any tuple; the session compiles
     each schema once; each distinct argument set's commutator is taken
-    once."""
+    once. A cap on the tuples per schema must be at least 1."""
+    if max_tuples_per_schema is not None and max_tuples_per_schema < 1:
+        raise ValueError(
+            f"max_tuples_per_schema must be at least 1, got {max_tuples_per_schema}")
     rng = rng or random.Random(0)
     _check_arguments(members, lattice)
     session = EvalSession(lattice)

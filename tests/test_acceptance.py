@@ -430,7 +430,7 @@ def test_criterion_8_born_rule_and_equality_probability():
 def test_criterion_9_commutator_correctness():
     start = time.monotonic()
     rng = random.Random(9)
-    # algebra generation equals the four-term closed form on random pairs
+    # the join of sign meets equals the four-term closed form on random pairs
     pairs = 0
     for dim in (2, 3, 4):
         for _ in range(34):
@@ -470,5 +470,5 @@ def test_criterion_9_commutator_correctness():
     assert got == commutator_pair_closed_form(p4, q4)
     elapsed = time.monotonic() - start
     _report(9, pairs >= 100, elapsed,
-            f"{pairs} closed-form cross-checks, commuting families at "
-            f"identity, dim-4 block example exact")
+            f"sign-meet join equal to the closed form on {pairs} pairs, "
+            f"commuting families at identity, dim-4 block example exact")

@@ -272,6 +272,18 @@ def test_check_scott_solovay_cli(session, capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("sample", ["0", "-3"])
+def test_check_transfer_refuses_a_sample_below_one(session, capsys, sample):
+    run(capsys, "lattice", "P", "--projection", "2", "--session", session)
+    run(capsys, "obs", "A", "--diag", "1,2", "--session", session)
+    run(capsys, "enumerate", "F", "--lattice", "P", "--max-rank", "2",
+        "--values-from", "A", "--session", session)
+    code, out, err = run(capsys, "check", "transfer", "--fragment", "F",
+                         "--sample", sample, "--session", session)
+    assert code == 2 and out == ""
+    assert "at least 1" in _one_line_error(err)
+
+
 def test_check_transfer_cli(session, capsys):
     run(capsys, "lattice", "P", "--projection", "2", "--session", session)
     run(capsys, "obs", "A", "--diag", "1,2", "--session", session)
@@ -516,6 +528,34 @@ def test_projection_literal_that_is_not_a_square_matrix_exits_4(session, capsys,
                          "--session", session)
     assert code == 4, literal
     assert "matri" in _one_line_error(err)
+
+
+def test_set_with_a_repeated_key_exits_4(tmp_path, session, capsys):
+    run(capsys, "lattice", "P", "--projection", "2", "--session", session)
+    run(capsys, "set", "e", "--lattice", "P", "--empty", "--session", session)
+    saved = open(session).read()
+    literal = '{e: [[1, 0], [0, 0]], e: [["1/2", "1/2"], ["1/2", "1/2"]]}'
+    code, out, err = run(capsys, "set", "u", "--lattice", "P", "--literal", literal,
+                         "--session", session)
+    assert code == 4 and out == ""
+    assert "appears twice" in _one_line_error(err)
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps({"nodes": [{"entries": []},
+                                          {"entries": [[0, [[1, 0], [0, 0]]],
+                                                       [0, [[0, 0], [0, 1]]]]}],
+                                "roots": [1]}))
+    code, out, err = run(capsys, "set", "u", "--lattice", "P", "--file", str(path),
+                         "--session", session)
+    assert code == 4 and out == ""
+    assert "appears twice" in _one_line_error(err)
+    assert open(session).read() == saved
+
+
+def test_trace_is_an_eval_option_only(session, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["lattice", "B", "--boolean", "1", "--trace", "--session", session])
+    assert exc.value.code == 2
+    assert "--trace" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("dim", [-1, 0])

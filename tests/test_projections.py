@@ -7,8 +7,9 @@ import pytest
 
 from lvset import exactmat as xm
 from lvset.exactnum import ONE, ZERO, gq
-from lvset.generators import (random_commuting_pair, random_projection,
-                              random_projection_pair, random_spectral_data)
+from lvset.generators import (random_commuting_pair, random_orthogonal_basis,
+                              random_projection, random_projection_pair,
+                              random_spectral_data)
 from lvset.projections import (LatticeError, Projection, SpectralData,
                                commutator_pair_closed_form,
                                identity_projection, lattice_commutator,
@@ -79,8 +80,134 @@ def test_commuting_pair_meet_is_product():
             assert subspace_meet(p, q).matrix == prod
 
 
+def _flat(m):
+    return tuple(x for row in m for x in row)
+
+
+def reference_commutator(projections):
+    """The commutator computed inside the word algebra A(S): E = I − e, where
+    e is the unit of the two-sided ideal generated by all commutators of
+    A(S). e is the sum of the non-commutative central blocks of A(S), so
+    I − e is the sum of the commutative ones. An independent oracle for the
+    sign-meet join of `lattice_commutator`."""
+    gens = list(projections)
+    dim = gens[0].dim
+    eye = xm.identity(dim)
+    gen_mats = list(dict.fromkeys(g.matrix for g in gens))
+
+    # Word algebra: span of I and all products of generators, closed under
+    # right multiplication once a full round adds nothing.
+    algebra = [eye]
+    span = xm.Span()
+    span.add(_flat(eye))
+    frontier = []
+    for g in gen_mats:
+        if span.add(_flat(g)):
+            algebra.append(g)
+            frontier.append(g)
+    while frontier and span.dim() < dim * dim:
+        new_frontier = []
+        for w in frontier:
+            for g in gen_mats:
+                prod = xm.mat_mul(w, g)
+                if span.add(_flat(prod)):
+                    algebra.append(prod)
+                    new_frontier.append(prod)
+        frontier = new_frontier
+
+    commutator_span = xm.Span()
+    ideal = []
+    for i, a in enumerate(algebra):
+        for b in algebra[i + 1:]:
+            ab, ba = xm.mat_mul(a, b), xm.mat_mul(b, a)
+            c = tuple(tuple(x - y for x, y in zip(r, t)) for r, t in zip(ab, ba))
+            if commutator_span.add(_flat(c)):
+                ideal.append(c)
+    if not ideal:
+        return identity_projection(dim)
+
+    # Close the commutator span into a two-sided ideal of A(S).
+    frontier = list(ideal)
+    while frontier:
+        new_frontier = []
+        for j in frontier:
+            for g in gen_mats:
+                for prod in (xm.mat_mul(g, j), xm.mat_mul(j, g)):
+                    if commutator_span.add(_flat(prod)):
+                        ideal.append(prod)
+                        new_frontier.append(prod)
+        frontier = new_frontier
+    return Projection(xm.identity_minus(_ideal_unit(ideal)))
+
+
+def _ideal_unit(basis):
+    """Unit element of the (semisimple, *-closed) ideal spanned by basis:
+    e = Σ x_j basis_j with e·b = b for every basis element b."""
+    k = len(basis)
+    width = len(basis[0]) ** 2
+    rows = []
+    for b in basis:
+        products = [_flat(xm.mat_mul(bj, b)) for bj in basis]
+        fb = _flat(b)
+        for pos in range(width):
+            rows.append([products[j][pos] for j in range(k)] + [fb[pos]])
+    reduced, pivots = xm.rref(rows)
+    assert all(c < k for c in pivots), "commutator ideal has no unit"
+    unit = xm.zeros(len(basis[0]), len(basis[0]))
+    for r, c in enumerate(pivots):
+        unit = xm.mat_add(unit, xm.mat_scale(reduced[r][k], basis[c]))
+    for b in basis:
+        assert xm.product_equals(unit, b, b) and xm.product_equals(b, unit, b)
+    return unit
+
+
+def _random_family(rng, dim):
+    """1-6 members mixing generic projections, commuting pairs, complements,
+    duplicates, both bounds and orthogonal flags."""
+    kind = rng.choice(["generic", "commuting", "flag", "mixed"])
+    if kind == "generic":
+        family = [random_projection(rng, dim) for _ in range(rng.randint(1, 4))]
+    elif kind == "commuting":
+        family = list(random_commuting_pair(rng, dim))
+        family.append(random_projection(rng, dim))
+    elif kind == "flag":
+        # a chain of spans of an orthogonal basis, plus one random projection
+        basis = random_orthogonal_basis(rng, dim)
+        family = [proj_from_span(basis[:k], dim) for k in range(1, dim)]
+        family.append(random_projection(rng, dim, rank=rng.randint(1, dim - 1)))
+    else:
+        family = [random_projection(rng, dim), *random_commuting_pair(rng, dim)]
+    if rng.random() < 0.4:
+        family.append(rng.choice(family).complement())
+    if rng.random() < 0.3:
+        family.append(rng.choice(family))
+    if rng.random() < 0.3:
+        family.append(rng.choice([zero_projection(dim), identity_projection(dim)]))
+    return family[:6]
+
+
+def test_lattice_commutator_matches_word_algebra_oracle():
+    rng = random.Random(18)
+    families = nontrivial = large = 0
+    # the oracle takes about 0.2 s per dim-4 family, so dim 4 gets fewer
+    for dim, count in ((2, 80), (3, 80), (4, 40)):
+        for _ in range(count):
+            family = _random_family(rng, dim)
+            expected = reference_commutator(family)
+            got = lattice_commutator(family)
+            assert got == expected
+            # member order and duplicates do not matter
+            shuffled = family + family[:2]
+            rng.shuffle(shuffled)
+            assert lattice_commutator(shuffled) == got
+            families += 1
+            nontrivial += got not in (zero_projection(dim), identity_projection(dim))
+            large += len(family) >= 3
+    assert families >= 200 and nontrivial >= 15 and large >= 50
+
+
 def test_lattice_commutator_matches_closed_form():
-    # the subalgebra construction must agree with the four-meet formula on pairs
+    # the sign-meet join must agree with the four-meet formula on pairs
     rng = random.Random(14)
     checked = 0
     for dim in (2, 3, 4):

@@ -136,6 +136,21 @@ def test_duplicate_domain_keys_change_nothing():
         assert session.truth_membership(doubled, other) == session.truth_membership(base, other)
 
 
+def test_make_qset_refuses_a_repeated_key_handle():
+    # a QSet is a function on its keys: {e: p, e: q} has no single value at e
+    lat, p, q = dim2_pq()
+    e = empty_qset(lat)
+    with pytest.raises(LatticeError, match="appears twice"):
+        make_qset(lat, [(e, p), (e, q)])
+    with pytest.raises(LatticeError, match="appears twice"):
+        make_qset(lat, [(e, p), (empty_qset(lat), q), (e, p)])
+    with pytest.raises(LatticeError, match="appears twice"):
+        qsets_from_json({"nodes": [{"entries": []},
+                                   {"entries": [[0, 1], [0, 0]]}], "roots": [1]}, FOUR)
+    # distinct handles with equal structure stay distinct keys
+    assert len(make_qset(lat, [(e, p), (empty_qset(lat), q)]).entries) == 2
+
+
 def test_check_embed_shapes():
     lat = FOUR
     zero = check_embed([], lat)

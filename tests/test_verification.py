@@ -233,6 +233,32 @@ def test_transfer_suite_witnesses_match_the_per_tuple_run(monkeypatch):
     assert suite.to_json() == _transfer_suite_per_tuple(members, lat).to_json()
 
 
+@pytest.mark.parametrize("max_tuples", [0, -3])
+def test_transfer_suite_refuses_a_sample_below_one(monkeypatch, max_tuples):
+    # a cap below 1 would check no tuple and pass every schema vacuously
+    import lvset.verification as vf
+    lat, p, q = dim2_lattice()
+    members = violation_demo_collection(lat, p, q)
+    evaluated = []
+    monkeypatch.setattr(vf, "evaluate_instance",
+                        lambda inst, session=None: evaluated.append(inst))
+    with pytest.raises(ValueError, match="at least 1"):
+        transfer_suite(members, lat, max_tuples_per_schema=max_tuples)
+    assert evaluated == []
+
+
+def test_pairing_builds_a_singleton_for_equal_arguments():
+    lat, p, q = dim2_lattice()
+    x, y = violation_demo_collection(lat, p, q)[1:3]
+    schema = CATALOG_BY_NAME["pairing"]
+    same = TheoremInstance(schema, lat, (x, x))
+    assert same.bindings()["c1"].entries == ((x, lat.top()),)
+    assert len(TheoremInstance(schema, lat, (x, y)).bindings()["c1"].entries) == 2
+    # x1 in c1 & x2 in c1 stays 1 on the singleton
+    from lvset.verification import evaluate_instance
+    assert evaluate_instance(same) == lat.top()
+
+
 @pytest.mark.parametrize("max_tuples", [None, 1])
 @pytest.mark.parametrize("bad", ["not a qset", "other lattice"])
 def test_transfer_suite_checks_its_members_before_any_tuple(monkeypatch, max_tuples, bad):
