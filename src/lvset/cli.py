@@ -440,6 +440,8 @@ def _report_out(args, doc: dict) -> None:
 
 
 def _check_laws(args, ws: Workspace) -> int:
+    if args.random < 0:
+        raise ValueError(f"--random must be at least 0, got {args.random}")
     lattice = ws.lattice(args.lattice)
     sample = None
     if isinstance(lattice, ProjectionLattice):

@@ -184,13 +184,12 @@ class BooleanLattice(Lattice):
 class ProjectionLattice(Lattice):
     """Projections on a dim-dimensional space, ordered by range inclusion.
 
+    Elements are interned `Projection`s: equal matrices are one object,
+    so the operands of the memo and the shortcuts compare by identity.
     Meets, joins, complements, order tests and commutators are memoized by
     operand for as long as the lattice object lives; a fresh lattice
-    computes everything again. Each projection the lattice computes is
-    built, and so validated, once: results of rank 0 and of full rank are
-    the dimension's zero and identity, shared by every lattice of that
-    dimension, and a computed complement I − P is recorded with P as its
-    own complement.
+    computes everything again. A computed complement I − P is recorded
+    with P as its own complement.
     """
 
     kind = "projection"
@@ -276,10 +275,13 @@ class ProjectionLattice(Lattice):
         return a.commutes_with(b)
 
     def commutator(self, values: Iterable) -> Projection:
-        family = frozenset(values)
+        # keyed by the set, computed in the order given: a set of projections
+        # iterates by id, so its order would change the work from run to run
+        family = tuple(dict.fromkeys(values))
         if not family:
             return self._top
-        return self._memoized("commutator", pj.lattice_commutator, family)
+        return self._memoized("commutator", lambda _: pj.lattice_commutator(family),
+                              frozenset(family))
 
     def describe(self) -> dict:
         return {"kind": "projection", "dim": self.dim}
@@ -528,6 +530,8 @@ def verify_laws(lattice: Lattice, sample=None, max_triples: int = 400) -> LawRep
     always gets the canonical violating triple tested first, so a violation
     witness is found in every dimension >= 2.
     """
+    if max_triples < 1:
+        raise ValueError(f"max_triples must be at least 1, got {max_triples}")
     if isinstance(lattice, BooleanLattice):
         return _verify_boolean_laws(lattice)
     if isinstance(lattice, ProjectionLattice):

@@ -8,8 +8,9 @@ P∧Q ≤ P, ...) holds with zero tolerance.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -22,12 +23,25 @@ class LatticeError(Exception):
 
 
 class Projection:
-    """An exact orthogonal projection matrix; validated on construction."""
+    """An exact orthogonal projection matrix, interned: `Projection(m)` is
+    the live object of any matrix equal to m, so equality is identity. A
+    new matrix is validated, then held in a weak table."""
 
-    __slots__ = ("dim", "matrix", "_hash")
+    __slots__ = ("dim", "matrix", "__weakref__")
+    _interned = weakref.WeakValueDictionary()  # matrix -> its Projection
+
+    def __new__(cls, matrix: xm.Matrix):
+        matrix = xm.mat(matrix)
+        p = cls._interned.get(matrix)
+        if p is None:
+            p = object.__new__(cls)
+            object.__setattr__(p, "matrix", matrix)
+        return p
 
     def __init__(self, matrix: xm.Matrix):
-        matrix = xm.mat(matrix)
+        if hasattr(self, "dim"):
+            return  # interned: validated when first built
+        matrix = self.matrix
         n = len(matrix)
         if any(len(row) != n for row in matrix):
             raise LatticeError("projection matrix must be square")
@@ -36,23 +50,10 @@ class Projection:
         if not xm.product_equals(matrix, matrix, matrix):
             raise LatticeError("projection matrix must be idempotent (M·M = M)")
         object.__setattr__(self, "dim", n)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "_hash", hash((n, matrix)))
+        Projection._interned[matrix] = self
 
     def __setattr__(self, name, value):
         raise AttributeError("Projection is immutable")
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Projection):
-            return NotImplemented
-        if self._hash != other._hash:
-            return False
-        return self.dim == other.dim and self.matrix == other.matrix
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return f"Projection(dim={self.dim}, rank={self.rank()})"
@@ -82,21 +83,14 @@ def check_dims(*ps: Projection):
             raise LatticeError(f"dimension mismatch: {d} vs {p.dim}")
 
 
-_BOUNDS: dict = {}  # dim -> (zero, identity): one object each, validated on first use
-
-
-def _bounds(dim: int) -> tuple:
-    if dim not in _BOUNDS:
-        _BOUNDS[dim] = (Projection(xm.zeros(dim, dim)), Projection(xm.identity(dim)))
-    return _BOUNDS[dim]
-
-
+@cache
 def zero_projection(dim: int) -> Projection:
-    return _bounds(dim)[0]
+    return Projection(xm.zeros(dim, dim))
 
 
+@cache
 def identity_projection(dim: int) -> Projection:
-    return _bounds(dim)[1]
+    return Projection(xm.identity(dim))
 
 
 def proj_from_span(vectors: Sequence[Sequence[GQ]], dim: int) -> Projection:

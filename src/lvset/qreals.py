@@ -86,22 +86,16 @@ def qreal_from_spectral(sd: SpectralData, grid: Sequence) -> QReal:
 
 
 def _qreal_on(lattice: ProjectionLattice, sd: SpectralData, grid: Sequence) -> QReal:
-    """qreal_from_spectral with cuts on the given lattice. A cut below the
-    spectrum is its bottom, one holding every eigenvalue its top and one
-    holding a single eigenvalue that SpectralData eigenprojection; only a
-    partial sum of two or more eigenprojections is a new Projection, built
-    once for all the grid points it covers."""
+    """qreal_from_spectral with cuts on the given lattice. Each partial sum
+    of eigenprojections is built once for all the grid points it covers."""
     points = sorted({Fraction(g) for g in grid})
     spectrum = sd.eigenvalues()
     for ev in spectrum:
         if ev not in points:
             raise LatticeError(f"grid is missing the eigenvalue {ev}")
-    projs = [p for _, p in sd.eigen]
     sums = [lattice.bottom()]  # sums[k]: the sum of the first k eigenprojections
-    for k in range(1, len(projs)):
-        sums.append(projs[0] if k == 1 else
-                    Projection(xm.mat_add(sums[-1].matrix, projs[k - 1].matrix)))
-    sums.append(lattice.top())
+    for _, p in sd.eigen:
+        sums.append(Projection(xm.mat_add(sums[-1].matrix, p.matrix)))
     cuts = tuple(sums[bisect_right(spectrum, r)] for r in points)
     return QReal(lattice, tuple(points), cuts)
 

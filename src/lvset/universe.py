@@ -298,8 +298,10 @@ def enumerate_fragment(lattice: Lattice, max_rank: int, values=None,
     Boolean lattices default to their full element list; projection lattices
     need an explicit finite value list (the lattice itself is infinite).
     Refuses with the computed cardinality when the fragment would exceed
-    `limit` members.
+    `limit` members; a `limit` below 1 is refused.
     """
+    if limit < 1:
+        raise ValueError(f"the fragment limit must be at least 1, got {limit}")
     if max_rank < 1:
         raise LatticeError("max_rank must be at least 1")
     if values is None:

@@ -311,6 +311,8 @@ def scott_solovay_suite(fragment: UniverseFragment,
     are equivalent to the all-triples statement. A sampled generic-evaluator
     cross-check guards the vectorized reductions themselves.
     """
+    if cross_check < 1:
+        raise ValueError(f"cross_check must be at least 1, got {cross_check}")
     lattice = fragment.lattice
     if not isinstance(lattice, BooleanLattice):
         raise LatticeError("the value-1 suite runs over Boolean fragments")
@@ -443,7 +445,7 @@ def transfer_suite(members: Sequence[QSet], lattice: Lattice,
     _check_arguments(members, lattice)
     session = EvalSession(lattice)
     # each member's hereditary values once; a tuple's family is their union
-    hereditary = {m: frozenset(hereditary_values((m,))) for m in members}
+    hereditary = {m: hereditary_values((m,)) for m in members}
     commutators: dict = {}  # frozenset(args) -> commutator of their family
     sweeps = []
     for schema in THEOREM_SCHEMAS:
@@ -463,7 +465,7 @@ def transfer_suite(members: Sequence[QSet], lattice: Lattice,
             com = commutators.get(key)
             if com is None:
                 com = commutators[key] = lattice.commutator(
-                    frozenset().union(*(hereditary[a] for a in args)))
+                    v for a in args for v in hereditary[a])
             if not lattice.leq(com, value):
                 passed = False
                 witness = inst.serialize()

@@ -284,6 +284,32 @@ def test_check_transfer_refuses_a_sample_below_one(session, capsys, sample):
     assert "at least 1" in _one_line_error(err)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["laws", "--lattice", "P", "--random", "-3"], "--random must be at least 0, got -3"),
+    (["laws", "--lattice", "P", "--triples", "0"], "max_triples must be at least 1, got 0"),
+    (["laws", "--lattice", "B", "--triples", "-1"], "max_triples must be at least 1, got -1"),
+    (["scott-solovay", "--fragment", "F", "--cross-check", "0"],
+     "cross_check must be at least 1, got 0"),
+])
+def test_check_refuses_vacuous_counts(session, capsys, argv, message):
+    run(capsys, "lattice", "P", "--projection", "2", "--session", session)
+    run(capsys, "lattice", "B", "--boolean", "1", "--session", session)
+    run(capsys, "enumerate", "F", "--lattice", "B", "--max-rank", "2",
+        "--session", session)
+    code, out, err = run(capsys, "check", *argv, "--session", session)
+    assert code == 2 and out == ""
+    assert message in _one_line_error(err)
+
+
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_enumerate_refuses_a_limit_below_one(session, capsys, limit):
+    run(capsys, "lattice", "B", "--boolean", "1", "--session", session)
+    code, out, err = run(capsys, "enumerate", "F", "--lattice", "B",
+                         "--max-rank", "2", "--limit", limit, "--session", session)
+    assert code == 2 and out == ""
+    assert f"limit must be at least 1, got {limit}" in _one_line_error(err)
+
+
 def test_check_transfer_cli(session, capsys):
     run(capsys, "lattice", "P", "--projection", "2", "--session", session)
     run(capsys, "obs", "A", "--diag", "1,2", "--session", session)

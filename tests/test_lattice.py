@@ -129,6 +129,16 @@ def test_verify_laws_projection_random_sample():
     assert not report.distributive
 
 
+@pytest.mark.parametrize("max_triples", [0, -5])
+def test_verify_laws_refuses_fewer_than_one_triple(max_triples):
+    # refused before any work: the sample is not even checked
+    for lat in (BooleanLattice(2), ProjectionLattice(2)):
+        with pytest.raises(ValueError, match="max_triples must be at least 1"):
+            verify_laws(lat, sample=["not a projection"], max_triples=max_triples)
+    report = verify_laws(ProjectionLattice(2), max_triples=1)
+    assert report.triples_checked == 1 and not report.distributive
+
+
 def test_law_report_json_shape():
     lat = BooleanLattice(2)
     doc = verify_laws(lat).to_json(lat)
@@ -347,3 +357,24 @@ def test_lattice_commutator_method():
     blat = BooleanLattice(2)
     assert blat.commutator([]) == blat.top()
     assert blat.commutator([1, 2, 1]) == blat.top()
+
+
+def test_lattice_commutator_runs_in_the_order_first_given(monkeypatch):
+    # projections hash by identity, so a set's order changes between runs;
+    # the work of a commutator must not
+    from lvset import projections as pj
+    from lvset.generators import random_projection
+    families = []
+    real = pj.lattice_commutator
+
+    def recorded(family):
+        families.append(family)
+        return real(family)
+
+    monkeypatch.setattr(pj, "lattice_commutator", recorded)
+    rng = random.Random(4)
+    lat = ProjectionLattice(3)
+    a, b, c = (random_projection(rng, 3) for _ in range(3))
+    first = lat.commutator([b, a, b, c])
+    assert lat.commutator({c, a, b}) is first
+    assert families == [(b, a, c)]

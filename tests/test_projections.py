@@ -1,6 +1,10 @@
 """Exact projection operators, subspace lattice operations, commutators."""
 
+import copy
+import gc
+import pickle
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -10,6 +14,7 @@ from lvset.exactnum import ONE, ZERO, gq
 from lvset.generators import (random_commuting_pair, random_orthogonal_basis,
                               random_projection, random_projection_pair,
                               random_spectral_data)
+from lvset.lattice import ProjectionLattice
 from lvset.projections import (LatticeError, Projection, SpectralData,
                                commutator_pair_closed_form,
                                identity_projection, lattice_commutator,
@@ -27,6 +32,83 @@ def test_projection_validation_rejects_non_projections():
         Projection(((gq(2), ZERO), (ZERO, ZERO)))  # hermitian but not idempotent
     with pytest.raises(LatticeError):
         Projection(((ONE, ZERO),))  # not square
+
+
+# ------------------------------------------------------------- interning
+
+def _e(*xs):
+    return tuple(gq(x) for x in xs)
+
+
+def test_projection_has_one_equality_rule():
+    assert "__eq__" not in vars(Projection) and "__hash__" not in vars(Projection)
+    assert isinstance(Projection._interned, weakref.WeakValueDictionary)
+
+
+def test_equal_matrices_are_one_object_wherever_built():
+    half = gq(Fraction(1, 2))
+    m = ((half, half), (half, half))
+    p = Projection(m)
+    # a rebuilt matrix of fresh entries, not the same tuple
+    assert Projection(matrix_from_json(matrix_to_json(m))) is p
+    assert proj_from_span([_e(1, 1)], 2) is p
+    # two spanning sets of one plane in dimension 3
+    plane = proj_from_span([_e(1, 0, 0), _e(0, 1, 1)], 3)
+    assert proj_from_span([_e(1, 1, 1), _e(1, -1, -1), _e(3, 2, 2)], 3) is plane
+    rng = random.Random(3)
+    for dim in (2, 3, 4):
+        for _ in range(5):
+            a, b = random_projection(rng, dim), random_projection(rng, dim)
+            assert a.complement().complement() is a
+            assert subspace_meet(a, b) is subspace_meet(b, a)
+            assert subspace_join(a, b) is subspace_join(b, a)
+    # a meet equal to a pool value is that value
+    line = proj_from_span([_e(1, 0, 0)], 3)
+    other_plane = proj_from_span([_e(1, 0, 0), _e(0, 1, -1)], 3)
+    assert subspace_meet(plane, other_plane) is line
+    assert ProjectionLattice(3).meet(plane, other_plane) is line
+
+
+def test_a_rejected_matrix_is_not_registered():
+    table = Projection._interned
+    size = len(table)
+    bad = ((gq(2), ZERO), (ZERO, ZERO))  # Hermitian, not idempotent
+    with pytest.raises(LatticeError, match="idempotent") as first:
+        Projection(bad)
+    # while the failed object is still reachable from the traceback
+    with pytest.raises(LatticeError, match="idempotent"):
+        Projection(bad)
+    assert first.value and len(table) == size and bad not in table
+
+
+def test_a_dict_keyed_by_a_projection_finds_an_equal_rebuild():
+    rng = random.Random(8)
+    p = random_projection(rng, 3)
+    counts = {p: 1}
+    again = projection_from_json(projection_to_json(p))
+    assert again in counts and counts[again] == 1
+    assert {p, again, p.complement().complement()} == {p}
+
+
+def test_copies_are_refused():
+    p = identity_projection(2)
+    for make_copy in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+        with pytest.raises(TypeError):
+            make_copy(p)
+
+
+def test_the_table_frees_projections_nothing_holds():
+    table = Projection._interned
+    zero_projection(3), identity_projection(3)
+    gc.collect()
+    size = len(table)
+    rng = random.Random(21)
+    for _ in range(300):
+        p = random_projection(rng, 3)
+        subspace_meet(p, random_projection(rng, 3)).complement()
+    del p
+    gc.collect()
+    assert len(table) <= size
 
 
 def test_proj_from_span_examples():

@@ -1,11 +1,13 @@
 """Quantum reals as spectral cuts, Born probabilities, the real predicate."""
 
+import gc
 import random
 from fractions import Fraction
 
 import pytest
 
 from lvset import exactmat as xm
+from lvset import projections as pj
 from lvset.exactnum import GQ, gq
 from lvset.formula import Environment, eval_formula, parse
 from lvset.generators import (random_commuting_pair, random_projection,
@@ -89,11 +91,13 @@ def test_qreal_cuts_reuse_bounds_and_eigenprojections():
 
 
 def test_prob_equal_builds_each_projection_once(monkeypatch):
-    # one lattice for both reals: one partial sum per real (the other cuts
-    # are eigenprojections or bounds), the complements of the first two cuts
-    # and of the shared second one, and one meet of rank 1. Meets and joins
-    # of rank 0 or 3 are the dimension's zero and identity, built before
-    # counting so the count does not depend on which test built them first.
+    # Projections are interned, so only a matrix not seen before is
+    # validated. The two reals share the partial sum diag(1,1,0), the
+    # complement of b's second cut is b's own third eigenprojection, and the
+    # complements of the first cuts are diag(0,1,1) and the projection onto
+    # (1,-1,0) and e3: three new matrices in all. The rank-1 meet is e3's
+    # projection, already built. The inputs, zero and identity are built
+    # and held before counting, so the count does not depend on other tests.
     def e(*xs):
         return tuple(gq(x) for x in xs)
 
@@ -103,17 +107,18 @@ def test_prob_equal_builds_each_projection_once(monkeypatch):
                                    (Fraction(3), proj_from_span([e(0, 0, 1)], 3))))
     state = StateVector(e(1, 2, 1))
     zero_projection(3), identity_projection(3)
+    gc.collect()  # no dead projection of an earlier test stays interned
     calls = []
-    real = Projection.__init__
+    real = pj.xm.is_hermitian
 
-    def counted(self, matrix):
+    def counted(matrix):
         calls.append(matrix)
-        real(self, matrix)
+        return real(matrix)
 
-    monkeypatch.setattr(Projection, "__init__", counted)
+    monkeypatch.setattr(pj.xm, "is_hermitian", counted)
     result = prob_equal(a, b, state)
     monkeypatch.undo()
-    assert len(calls) == 6
+    assert len(calls) == 3
     assert result.element == proj_from_span([e(0, 0, 1)], 3)
     assert result.value == Fraction(1, 6) and result.model_dependent
 

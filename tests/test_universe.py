@@ -81,6 +81,18 @@ def test_fragment_limit_and_value_requirements():
     assert len(frag) == 4  # empty + 3 singletons
 
 
+@pytest.mark.parametrize("limit", [0, -1])
+def test_fragment_limit_below_one_is_refused_up_front(monkeypatch, limit):
+    import lvset.universe as universe
+
+    def no_prediction(*args, **kwargs):
+        raise AssertionError("size predicted before the refusal")
+
+    monkeypatch.setattr(universe, "predicted_fragment_size", no_prediction)
+    with pytest.raises(ValueError, match=f"limit must be at least 1, got {limit}"):
+        enumerate_fragment(FOUR, 2, limit=limit)
+
+
 def test_reflexivity_and_symmetry_on_fragment():
     lat, p, q = dim2_pq()
     values = [lat.bottom(), p, lat.ortho(p), q, lat.top()]

@@ -443,6 +443,19 @@ def test_fragment_cuts_each_equality_plane_once(monkeypatch):
     assert [(t is tables.eq, atom) for t, atom in calls] == [(True, 0), (True, 1)]
 
 
+@pytest.mark.parametrize("cross_check", [0, -9])
+def test_scott_solovay_refuses_a_cross_check_below_one(monkeypatch, cross_check):
+    from lvset import fragment_tables as ft
+
+    def no_tables(fragment):
+        raise AssertionError("tables built before the refusal")
+
+    monkeypatch.setattr(ft, "boolean_truth_tables", no_tables)
+    frag = enumerate_fragment(BooleanLattice(1), 2)
+    with pytest.raises(ValueError, match="cross_check must be at least 1"):
+        scott_solovay_suite(frag, cross_check=cross_check)
+
+
 def test_scott_solovay_default_cross_check_is_180():
     frag = enumerate_fragment(BooleanLattice(1), 2)
     by_name = {s.schema: s for s in scott_solovay_suite(frag).sweeps}
