@@ -49,6 +49,7 @@ def test_equal_matrices_are_one_object_wherever_built():
     half = gq(Fraction(1, 2))
     m = ((half, half), (half, half))
     p = Projection(m)
+    assert Projection(m) is p
     # a rebuilt matrix of fresh entries, not the same tuple
     assert Projection(matrix_from_json(matrix_to_json(m))) is p
     assert proj_from_span([_e(1, 1)], 2) is p
