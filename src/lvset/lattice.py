@@ -189,7 +189,7 @@ class ProjectionLattice(Lattice):
     Meets, joins, complements, order tests and commutators are memoized by
     operand for as long as the lattice object lives; a fresh lattice
     computes everything again. A computed complement I − P is recorded
-    with P as its own complement.
+    with P as its own complement. Commutators reuse all of these.
     """
 
     kind = "projection"
@@ -275,13 +275,28 @@ class ProjectionLattice(Lattice):
         return a.commutes_with(b)
 
     def commutator(self, values: Iterable) -> Projection:
-        # keyed by the set, computed in the order given: a set of projections
-        # iterates by id, so its order would change the work from run to run
+        """The join, over every choice of P or P⊥ for each member, of the meet
+        of the choices (Pulmannová, Demonstratio Math. 18, 1985). The members
+        split 1 one at a time into such meets, pairwise orthogonal, so at most
+        dim survive each step; every step is this lattice's memoized op.
+        Keyed by the set, computed in the order given: a set of projections
+        iterates by id, so its order would change the work from run to run."""
         family = tuple(dict.fromkeys(values))
         if not family:
             return self._top
-        return self._memoized("commutator", lambda _: pj.lattice_commutator(family),
-                              frozenset(family))
+        key = ("commutator", frozenset(family))
+        if key in self._memo:
+            return self._memo[key]
+        blocks = [self._top]
+        for p in family:
+            pc = self.ortho(p)
+            blocks = [b for m in blocks for b in (self.meet(m, p), self.meet(m, pc))
+                      if b is not self._bottom]
+        result = self.big_join(blocks)
+        if not all(result.commutes_with(p) for p in family):
+            raise LatticeError("internal error: commutator does not commute with inputs")
+        self._memo[key] = result
+        return result
 
     def describe(self) -> dict:
         return {"kind": "projection", "dim": self.dim}

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -135,31 +135,16 @@ def subspace_join(p: Projection, q: Projection) -> Projection:
 
 def lattice_commutator(projections: Iterable[Projection]) -> Projection:
     """The largest projection E commuting with every member of S such that
-    the compressed family {PE} is pairwise commuting.
-
-    E is the join, over every choice of P or P⊥ for each member, of the meet
-    of the choices (Pulmannová, Demonstratio Math. 18, 1985): the span of
-    the family's joint eigenvectors. The members split the identity one at
-    a time into such meets; the nonzero ones are pairwise orthogonal, so at
-    most dim of them survive each step. E = 0 and E = I are the dimension's
-    zero and identity.
+    the compressed family {PE} is pairwise commuting, computed by
+    `ProjectionLattice.commutator` on a fresh lattice of the members'
+    dimension, so nothing is memoized between calls. An empty family has
+    no dimension and is refused.
     """
+    from .lattice import ProjectionLattice  # lattice imports this module
     gens = list(projections)
     if not gens:
         raise LatticeError("commutator of an empty family is undefined")
-    check_dims(*gens)
-    dim = gens[0].dim
-    zero = zero_projection(dim)
-    blocks = [identity_projection(dim)]
-    for p in dict.fromkeys(gens):
-        pc = p.complement()
-        blocks = [b for m in blocks
-                  for b in (subspace_meet(m, p), subspace_meet(m, pc)) if b is not zero]
-    result = reduce(subspace_join, blocks) if blocks else zero
-    for g in gens:
-        if not result.commutes_with(g):
-            raise LatticeError("internal error: commutator does not commute with inputs")
-    return result
+    return ProjectionLattice(gens[0].dim).commutator(gens)
 
 
 def commutator_pair_closed_form(p: Projection, q: Projection) -> Projection:

@@ -361,20 +361,82 @@ def test_lattice_commutator_method():
 
 def test_lattice_commutator_runs_in_the_order_first_given(monkeypatch):
     # projections hash by identity, so a set's order changes between runs;
-    # the work of a commutator must not
-    from lvset import projections as pj
+    # the work of a commutator must not: it complements the members in the
+    # order first given, and the same set again is a memo hit
     from lvset.generators import random_projection
-    families = []
-    real = pj.lattice_commutator
-
-    def recorded(family):
-        families.append(family)
-        return real(family)
-
-    monkeypatch.setattr(pj, "lattice_commutator", recorded)
     rng = random.Random(4)
     lat = ProjectionLattice(3)
+    operands = []
+    real = lat.ortho
+
+    def recorded(a):
+        operands.append(a)
+        return real(a)
+
+    monkeypatch.setattr(lat, "ortho", recorded)
     a, b, c = (random_projection(rng, 3) for _ in range(3))
     first = lat.commutator([b, a, b, c])
+    assert operands == [b, a, c]
     assert lat.commutator({c, a, b}) is first
-    assert families == [(b, a, c)]
+    assert operands == [b, a, c]
+
+
+def test_lattice_commutator_shares_the_lattice_memo(monkeypatch):
+    # the commutator's complements and sign meets are the lattice's own:
+    # after it, the same ops compute nothing, and ops taken first (as
+    # formula evaluation takes them) leave the commutator only its joins
+    from lvset import projections as pj
+    from lvset.generators import random_projection
+    from lvset.projections import Projection, commutator_pair_closed_form
+    rng = random.Random(16)
+    pairs = []
+    while len(pairs) < 2:
+        dim = 2 + len(pairs)
+        p, q = (random_projection(rng, dim, rank=rng.randint(1, dim - 1))
+                for _ in range(2))
+        if not p.commutes_with(q):
+            pairs.append((p, q))
+    # noncommuting on the first two axes, commuting on the last two: the
+    # commutator is neither bound and takes a join of nonzero sign meets
+    e = [tuple(gq(int(i == j)) for j in range(4)) for i in range(4)]
+    e01 = (gq(1), gq(1), gq(0), gq(0))
+    pairs.append((proj_from_span([e[0], e[2]], 4), proj_from_span([e01, e[2]], 4)))
+    expected = [commutator_pair_closed_form(p, q) for p, q in pairs]
+    assert expected[-1] is proj_from_span(e[2:], 4)
+    meets, complements = [], []
+    real_meet, real_complement = pj.subspace_meet, Projection.complement
+
+    def counted_meet(*args):
+        meets.append(args)
+        return real_meet(*args)
+
+    def counted_complement(self):
+        complements.append(self)
+        return real_complement(self)
+
+    monkeypatch.setattr(pj, "subspace_meet", counted_meet)
+    monkeypatch.setattr(Projection, "complement", counted_complement)
+    for (p, q), want in zip(pairs, expected):
+        lat = ProjectionLattice(p.dim)
+        assert lat.commutator([p, q]) is want
+        assert meets
+        assert complements == [p, q]
+        before = len(meets)
+        pc, qc = lat.ortho(p), lat.ortho(q)
+        for a, b in ((p, q), (p, qc), (pc, q), (pc, qc)):
+            lat.meet(a, b)
+        assert len(meets) == before
+        assert complements == [p, q]
+        meets.clear()
+        complements.clear()
+
+        lat = ProjectionLattice(p.dim)
+        pc, qc = lat.ortho(p), lat.ortho(q)
+        for a, b in ((p, q), (p, qc), (pc, q), (pc, qc)):
+            lat.meet(a, b)
+        before = len(meets)
+        assert lat.commutator([p, q]) is want
+        assert len(meets) == before
+        assert complements == [p, q]
+        meets.clear()
+        complements.clear()

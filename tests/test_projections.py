@@ -289,6 +289,33 @@ def test_lattice_commutator_matches_word_algebra_oracle():
     assert families >= 200 and nontrivial >= 15 and large >= 50
 
 
+def test_warm_lattice_commutator_matches_word_algebra_oracle():
+    # one lattice per dimension serves many overlapping families, with
+    # repeats, both bounds and the meets and joins of evaluation in between,
+    # so a stale or misfiled memo entry would show as a wrong commutator
+    rng = random.Random(61)
+    expected = {}  # (dim, frozenset(family)) -> oracle commutator
+    checked = nontrivial = 0
+    for dim, count in ((2, 40), (3, 40), (4, 15)):
+        lat = ProjectionLattice(dim)
+        pool = [random_projection(rng, dim, rank=rng.randint(1, dim - 1))
+                for _ in range(3)]
+        pool += [*random_commuting_pair(rng, dim), lat.ortho(pool[0]),
+                 zero_projection(dim), identity_projection(dim)]
+        for _ in range(count):
+            family = rng.choices(pool, k=rng.randint(1, 5))
+            a, b = rng.sample(pool, 2)
+            lat.meet(a, b), lat.join(lat.ortho(a), b)
+            key = (dim, frozenset(family))
+            if key not in expected:
+                expected[key] = reference_commutator(family)
+            got = lat.commutator(family)
+            assert got is expected[key]
+            checked += 1
+            nontrivial += got not in (zero_projection(dim), identity_projection(dim))
+    assert checked > len(expected) >= 60 and nontrivial >= 10
+
+
 def test_lattice_commutator_matches_closed_form():
     # the sign-meet join must agree with the four-meet formula on pairs
     rng = random.Random(14)
