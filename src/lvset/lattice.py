@@ -59,6 +59,11 @@ class Lattice:
         pairwise; top for an empty family."""
         raise NotImplementedError
 
+    def agreement(self, pairs: Iterable):
+        """The largest element on which x and y agree for every pair (x, y):
+        the meet of the biconditionals (x ∧ y) ∨ (x⊥ ∧ y⊥); top for no pairs."""
+        raise NotImplementedError
+
     def big_meet(self, items: Iterable):
         out = self.top()
         for x in items:
@@ -146,6 +151,12 @@ class BooleanLattice(Lattice):
 
     def commutator(self, values: Iterable) -> int:
         return self._top
+
+    def agreement(self, pairs: Iterable) -> int:
+        differ = 0
+        for x, y in pairs:
+            differ |= x ^ y
+        return self._top ^ differ
 
     def describe(self) -> dict:
         return {"kind": "boolean", "atoms": self.atoms}
@@ -297,6 +308,14 @@ class ProjectionLattice(Lattice):
             raise LatticeError("internal error: commutator does not commute with inputs")
         self._memo[key] = result
         return result
+
+    def agreement(self, pairs: Iterable) -> Projection:
+        """The projection onto {ψ : xψ = yψ for every pair}: for one pair
+        that is (x∧y) ⊕ (x⊥∧y⊥), the states on which x and y are perfectly
+        correlated (Ozawa, Ann. Phys. 321, 2006). One row reduction of the
+        stacked differences x − y, none when every pair is one projection
+        twice. Not memoized."""
+        return pj.subspace_agreement(pairs, self.dim)
 
     def describe(self) -> dict:
         return {"kind": "projection", "dim": self.dim}

@@ -133,6 +133,20 @@ def subspace_join(p: Projection, q: Projection) -> Projection:
     return proj_from_span(_columns(p) + _columns(q), p.dim)
 
 
+def subspace_agreement(pairs: Iterable[tuple], dim: int) -> Projection:
+    """Projection onto {ψ : Pψ = Qψ for every pair (P, Q)}: kernel of the
+    stacked differences P − Q. For one pair it is (P∧Q) ⊕ (P⊥∧Q⊥). A pair
+    with P is Q adds no rows; with no rows it is the identity."""
+    rows = []
+    for p, q in dict.fromkeys(pairs):
+        if p is not q:
+            check_dims(identity_projection(dim), p, q)
+            rows += [tuple(u - v for u, v in zip(rp, rq)) for rp, rq in zip(p.matrix, q.matrix)]
+    if not rows:
+        return identity_projection(dim)
+    return proj_from_span(xm.kernel_basis(rows), dim)
+
+
 def lattice_commutator(projections: Iterable[Projection]) -> Projection:
     """The largest projection E commuting with every member of S such that
     the compressed family {PE} is pairwise commuting, computed by

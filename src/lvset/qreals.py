@@ -8,11 +8,15 @@ reals is the grid-pointwise biconditional meet
     [[a = b]] = big_meet over r of (E_a(r) <-> E_b(r)),
     x <-> y := (x ∧ y) ∨ (x⊥ ∧ y⊥)
 
-which reduces to the agreement subspace in the commuting case; noncommuting
-outputs are flagged model-dependent because only the commuting case has a
-quantum-mechanical oracle. The order truth value reads cut containment:
-[[a <= b]] = big_meet over r of (E_b(r) → E_a(r)), fixed by the scalar case
-c·I vs d·I.
+Since {ψ : xψ = yψ} = (x ∧ y) ⊕ (x⊥ ∧ y⊥), this is the subspace on which
+E_a(r)ψ = E_b(r)ψ at every r, computed as one kernel by the lattice's
+`agreement`. Its states are those in which a and b are perfectly
+correlated (Ozawa, Ann. Phys. 321, 2006), commuting or not, so the
+element has that oracle in every case. Outputs for noncommuting
+observables are flagged model-dependent only because a Born value below
+1 then has no joint-distribution reading. The order truth value reads
+cut containment: [[a <= b]] = big_meet over r of (E_b(r) → E_a(r)), fixed
+by the scalar case c·I vs d·I.
 """
 
 from __future__ import annotations
@@ -106,16 +110,10 @@ def _merged_grid(a: QReal, b: QReal) -> list:
     return sorted(set(a.grid) | set(b.grid))
 
 
-def _biconditional(lat: Lattice, x, y):
-    return lat.join(lat.meet(x, y), lat.meet(lat.ortho(x), lat.ortho(y)))
-
-
 def truth_eq(a: QReal, b: QReal):
-    """[[a = b]]: pointwise biconditional meet over the merged grid."""
-    lat = a.lattice
-    return lat.big_meet(
-        _biconditional(lat, a.at(r), b.at(r)) for r in _merged_grid(a, b)
-    )
+    """[[a = b]]: where the cuts of a and b agree at every point of the
+    merged grid, the lattice's `agreement` of the cut pairs."""
+    return a.lattice.agreement((a.at(r), b.at(r)) for r in _merged_grid(a, b))
 
 
 def truth_leq(a: QReal, b: QReal):
@@ -127,10 +125,13 @@ def truth_leq(a: QReal, b: QReal):
 
 
 def spectral_commutes(a: SpectralData, b: SpectralData) -> bool:
+    """Whether every eigenprojection of a commutes with every one of b. The
+    last eigenprojection of each is I minus the others, so it commutes
+    whenever they do, and only the pairs without a last one are tested."""
     return all(
         pa.commutes_with(pb)
-        for _, pa in a.eigen
-        for _, pb in b.eigen
+        for _, pa in a.eigen[:-1]
+        for _, pb in b.eigen[:-1]
     )
 
 

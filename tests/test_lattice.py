@@ -9,6 +9,7 @@ from lvset.exactnum import gq
 from lvset.lattice import (MAX_BOOLEAN_ATOMS, BooleanLattice, LatticeError,
                            ProjectionLattice, lattice_from_json,
                            lattice_to_json, verify_laws)
+from lvset.generators import random_projection
 from lvset.projections import proj_from_span
 
 
@@ -76,7 +77,6 @@ def test_projection_lattice_sasaki_examples():
     assert not lat.commutes(p, q)
     assert lat.commutes(p, lat.ortho(p))
     # a generic random pair of rank-1 projections does not commute either
-    from lvset.generators import random_projection
     rng = random.Random(7)
     r, s = (random_projection(rng, 2, rank=1) for _ in range(2))
     assert not lat.commutes(r, s)
@@ -440,3 +440,28 @@ def test_lattice_commutator_shares_the_lattice_memo(monkeypatch):
         assert complements == [p, q]
         meets.clear()
         complements.clear()
+
+
+def test_agreement_is_the_meet_of_biconditionals():
+    # agreement((x, y), ...) = big_meet of (x∧y) ∨ (x⊥∧y⊥), the same object
+    def oracle(lat, pairs):
+        return lat.big_meet(lat.join(lat.meet(x, y), lat.meet(lat.ortho(x), lat.ortho(y)))
+                            for x, y in pairs)
+
+    boolean = BooleanLattice(3)
+    elems = list(boolean.elements())
+    for pairs in ([], [(5, 5)], *(list(zip(elems, elems[k:] + elems[:k])) for k in range(4))):
+        assert boolean.agreement(pairs) == oracle(boolean, pairs)
+    rng = random.Random(12)
+    for dim in (2, 3):
+        lat = ProjectionLattice(dim)
+        for _ in range(12):
+            pairs = [tuple(random_projection(rng, dim) for _ in range(2))
+                     for _ in range(rng.randint(1, 3))]
+            assert lat.agreement(pairs) is oracle(lat, pairs)
+        p = random_projection(rng, dim, rank=1)
+        assert lat.agreement([]) is lat.top()
+        assert lat.agreement([(p, p), (p, p)]) is lat.top()
+        assert lat.agreement([(p, lat.ortho(p))]) is lat.bottom()
+    with pytest.raises(LatticeError):
+        ProjectionLattice(3).agreement([(random_projection(rng, 2), random_projection(rng, 2))])

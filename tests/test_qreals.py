@@ -11,7 +11,8 @@ from lvset import projections as pj
 from lvset.exactnum import GQ, gq
 from lvset.formula import Environment, eval_formula, parse
 from lvset.generators import (random_commuting_pair, random_projection,
-                              random_spectral_data, random_state_vector)
+                              random_spectral_data, random_state_vector,
+                              random_vector)
 from lvset.lattice import BooleanLattice, ProjectionLattice
 from lvset.projections import (LatticeError, Projection, SpectralData,
                                identity_projection, proj_from_span,
@@ -92,12 +93,12 @@ def test_qreal_cuts_reuse_bounds_and_eigenprojections():
 
 def test_prob_equal_builds_each_projection_once(monkeypatch):
     # Projections are interned, so only a matrix not seen before is
-    # validated. The two reals share the partial sum diag(1,1,0), the
-    # complement of b's second cut is b's own third eigenprojection, and the
-    # complements of the first cuts are diag(0,1,1) and the projection onto
-    # (1,-1,0) and e3: three new matrices in all. The rank-1 meet is e3's
-    # projection, already built. The inputs, zero and identity are built
-    # and held before counting, so the count does not depend on other tests.
+    # validated. The two reals share the partial sum diag(1,1,0), the one
+    # new matrix. [[a = b]] takes no complements or meets: it is the kernel
+    # of the one cut difference left, diag(1,0,0) minus the projection onto
+    # (1,1,0), and that kernel is e3's projection, already built. The
+    # inputs, zero and identity are built and held before counting, so the
+    # count does not depend on other tests.
     def e(*xs):
         return tuple(gq(x) for x in xs)
 
@@ -118,7 +119,7 @@ def test_prob_equal_builds_each_projection_once(monkeypatch):
     monkeypatch.setattr(pj.xm, "is_hermitian", counted)
     result = prob_equal(a, b, state)
     monkeypatch.undo()
-    assert len(calls) == 3
+    assert len(calls) == 1
     assert result.element == proj_from_span([e(0, 0, 1)], 3)
     assert result.value == Fraction(1, 6) and result.model_dependent
 
@@ -394,6 +395,158 @@ def test_truth_eq_and_leq_match_refined_copies_on_disjoint_grids():
         assert truth_eq(b, a) == _truth_eq_oracle(b, a)
         assert truth_leq(a, b) == _truth_leq_oracle(a, b)
         assert truth_leq(b, a) == _truth_leq_oracle(b, a)
+
+
+def _sharing_pair(rng, dim):
+    """Two observables with a common eigenvector v of one eigenvalue and
+    otherwise independent random eigenbases of v's complement. Where both
+    split that complement into two eigenspaces or more they usually do not
+    commute, yet they always agree at least on v."""
+    v = random_vector(rng, dim)
+    pv = proj_from_span([v], dim)
+    shared = Fraction(rng.randint(-6, 6))
+    rest = pv.complement().matrix
+
+    def side():
+        basis = []
+        while len(basis) < dim - 1:
+            basis = xm.orthogonalize([xm.mat_vec(rest, random_vector(rng, dim))
+                                      for _ in range(dim - 1)])
+        k = rng.randint(1, dim - 1)
+        cuts = [0, *sorted(rng.sample(range(1, dim - 1), k - 1)), dim - 1]
+        values = set()
+        while len(values) < k:
+            values.add(Fraction(rng.randint(-6, 6)))
+            values.discard(shared)
+        return SpectralData(dim=dim, eigen=((shared, pv), *(
+            (value, proj_from_span(basis[i:j], dim))
+            for value, i, j in zip(sorted(values), cuts, cuts[1:]))))
+
+    return side(), side()
+
+
+def _commutes_all_pairs(a, b):
+    return all(p.commutes_with(q) for _, p in a.eigen for _, q in b.eigen)
+
+
+def _boolean_qreal(rng, lat):
+    """A Boolean quantum real: each atom takes a value in 0..2, and the cut
+    at r holds the atoms of value ≤ r, on those values and two more points."""
+    of = [rng.randint(0, 2) for _ in range(lat.atoms)]
+    grid = sorted(set(of) | set(rng.sample(range(-2, 5), 2)))
+    cuts = [sum(1 << i for i, v in enumerate(of) if v <= r) for r in grid]
+    return QReal(lat, tuple(grid), tuple(cuts))
+
+
+def test_truth_eq_is_the_biconditional_meet():
+    # the kernel of the stacked cut differences is the very object that the
+    # lattice route (x∧y) ∨ (x⊥∧y⊥), met over the merged grid, builds
+    rng = random.Random(94)
+    pairs = [(random_spectral_data(rng, dim), random_spectral_data(rng, dim))
+             for dim in (2, 3, 4) for _ in range(40)]
+    pairs += [_sharing_pair(rng, dim) for dim in (3, 4) for _ in range(40)]
+    noncommuting = between = 0
+    for a, b in pairs:
+        qa = qreal_from_spectral(a, a.eigenvalues())
+        qb = qreal_from_spectral(b, b.eigenvalues()).refined([Fraction(rng.randint(-7, 7))])
+        got = truth_eq(qa, qb)
+        assert got is _truth_eq_oracle(qa, qb)
+        assert truth_eq(qb, qa) is got
+        noncommuting += not _commutes_all_pairs(a, b)
+        between += got is not qa.lattice.bottom() and got is not qa.lattice.top()
+    assert noncommuting >= 60 and between >= 60
+    # Boolean elements are ints, so there they are compared by value
+    lat = BooleanLattice(3)
+    between = 0
+    for _ in range(60):
+        qa, qb = _boolean_qreal(rng, lat), _boolean_qreal(rng, lat)
+        got = truth_eq(qa, qb)
+        assert got == _truth_eq_oracle(qa, qb) == truth_eq(qb, qa)
+        between += got not in (0, lat.top())
+    assert between >= 25
+
+
+def test_prob_equal_is_one_exactly_on_perfectly_correlated_states():
+    # without the lattice: Pr{a = b ‖ ψ} = 1 exactly when P_a(λ)ψ = P_b(λ)ψ
+    # for every λ in either spectrum, and exactly when P_a(x)ψ ⟂ P_b(y)ψ
+    # for every x ≠ y (Ozawa's perfect correlation), on random states and
+    # on states drawn from the range of [[a = b]]
+    rng = random.Random(95)
+    correlated_count = uncorrelated_count = 0
+    for dim in (2, 3, 4):
+        for k in range(30):
+            a = random_spectral_data(rng, dim)
+            if k % 3 == 0:
+                b = random_spectral_data(rng, dim)
+            elif k % 3 == 1:
+                b = SpectralData(dim=dim, eigen=tuple(
+                    (v, p) for (_, p), v in zip(a.eigen, a.eigenvalues()[::-1])))
+            else:
+                a, b = _sharing_pair(rng, dim) if dim > 2 else (a, a)
+            psi = random_state_vector(rng, dim)
+            element = prob_equal(a, b, StateVector(psi)).element
+            inside = xm.mat_vec(element.matrix, random_state_vector(rng, dim))
+            for state in (psi, inside) if any(inside) else (psi,):
+                values = set(a.eigenvalues()) | set(b.eigenvalues())
+                pa = {v: xm.mat_vec(a.projection_for(v).matrix, state) for v in values}
+                pb = {v: xm.mat_vec(b.projection_for(v).matrix, state) for v in values}
+                correlated = all(pa[v] == pb[v] for v in values)
+                assert correlated == all(xm.inner(pa[x], pb[y]).is_zero()
+                                         for x in values for y in values if x != y)
+                assert (prob_equal(a, b, StateVector(state)).value == 1) == correlated
+                correlated_count += correlated
+                uncorrelated_count += not correlated
+    assert correlated_count >= 50 and uncorrelated_count >= 50
+
+
+def test_spectral_commutes_matches_all_pairs(monkeypatch):
+    # the last eigenprojection of each side is I minus the others, so only
+    # the pairs without it are tested: none for a scalar, one for two
+    # two-valued observables
+    rng = random.Random(96)
+    cases = []
+    for dim in (2, 3, 4):
+        for _ in range(8):
+            a = random_spectral_data(rng, dim)
+            commuting = SpectralData(dim=dim, eigen=tuple(
+                (v + 1, p) for v, p in a.eigen))
+            scalar = random_spectral_data(rng, dim, n_eigenvalues=1)
+            cases += [(a, random_spectral_data(rng, dim)), (a, commuting),
+                      (scalar, a), (a, scalar), (scalar, scalar)]
+            if dim > 2:  # one eigenprojection commutes with the other side
+                cases.append(_sharing_pair(rng, dim))
+    answers = set()
+    for a, b in cases:
+        assert spectral_commutes(a, b) == _commutes_all_pairs(a, b)
+        answers.add(spectral_commutes(a, b))
+    assert answers == {True, False}
+    calls = []
+    real = Projection.commutes_with
+
+    def counted(p, q):
+        calls.append((p, q))
+        return real(p, q)
+
+    monkeypatch.setattr(Projection, "commutes_with", counted)
+    scalar, a = (random_spectral_data(rng, 3, n_eigenvalues=n) for n in (1, 2))
+    assert spectral_commutes(scalar, a) and spectral_commutes(a, scalar)
+    assert calls == []
+    spectral_commutes(a, random_spectral_data(rng, 3, n_eigenvalues=2))
+    assert len(calls) == 1
+
+
+def test_truth_eq_of_a_real_and_its_refinement_takes_no_row_reduction(monkeypatch):
+    # each cut pair is one object twice, so agreement has no rows to reduce
+    sd = random_spectral_data(random.Random(97), 4, n_eigenvalues=3)
+    q = qreal_from_spectral(sd, sd.eigenvalues())
+    refined = q.refined([Fraction(-100), Fraction(1, 7)])
+
+    def refuse(rows):
+        raise AssertionError("row reduction")
+
+    monkeypatch.setattr(xm, "kernel_basis", refuse)
+    assert truth_eq(q, refined) is q.lattice.top()
+    assert truth_eq(refined, q) is q.lattice.top()
 
 
 def test_truth_eq_rejects_reals_of_different_lattices():
