@@ -181,22 +181,6 @@ class Workspace:
         return _read_document(path, "session", cls.from_json)
 
 
-def _load_workspace(args) -> Workspace:
-    path = getattr(args, "session", None)
-    if path:
-        try:
-            return Workspace.load(path)
-        except FileNotFoundError:
-            return Workspace()
-    return Workspace()
-
-
-def _save_workspace(ws: Workspace, args) -> None:
-    path = getattr(args, "session", None)
-    if path:
-        ws.save(path)
-
-
 # ------------------------------------------------------- set literals
 
 def _split_top_level(text: str) -> list:
@@ -250,9 +234,12 @@ def parse_set_literal(text: str, lattice: Lattice, ws: Workspace) -> QSet:
 
 
 # ---------------------------------------------------------- subcommands
+#
+# Each command takes the parsed arguments and the loaded workspace, and
+# returns (exit code, JSON document, text lines). The define commands fill
+# the workspace; main alone loads, saves, writes --out and prints.
 
-def cmd_lattice(args) -> int:
-    ws = _load_workspace(args)
+def cmd_lattice(args, ws: Workspace) -> tuple:
     if (args.boolean is None) == (args.projection is None):
         raise UsageError("specify exactly one of --boolean ATOMS or --projection DIM")
     if args.boolean is not None:
@@ -260,16 +247,11 @@ def cmd_lattice(args) -> int:
     else:
         lat = ProjectionLattice(args.projection)
     ws.lattices[args.name] = lat
-    _save_workspace(ws, args)
-    if args.json:
-        print(_dumps({"name": args.name, "lattice": lat.describe()}))
-    else:
-        print(f"lattice {args.name}: {_dumps(lat.describe())}")
-    return EXIT_OK
+    return (EXIT_OK, {"name": args.name, "lattice": lat.describe()},
+            [f"lattice {args.name}: {_dumps(lat.describe())}"])
 
 
-def cmd_set(args) -> int:
-    ws = _load_workspace(args)
+def cmd_set(args, ws: Workspace) -> tuple:
     lattice = ws.lattice(args.lattice)
     sources = [s for s in (args.literal, args.file) if s is not None]
     if args.empty:
@@ -293,13 +275,8 @@ def cmd_set(args) -> int:
             raise LatticeError("set file must contain exactly one root")
         q = roots[0]
     ws.sets[args.name] = (args.lattice, q)
-    _save_workspace(ws, args)
-    summary = {"name": args.name, "rank": q.rank, "entries": len(q.entries)}
-    if args.json:
-        print(_dumps(summary))
-    else:
-        print(f"set {args.name}: rank {q.rank}, {len(q.entries)} entries")
-    return EXIT_OK
+    return (EXIT_OK, {"name": args.name, "rank": q.rank, "entries": len(q.entries)},
+            [f"set {args.name}: rank {q.rank}, {len(q.entries)} entries"])
 
 
 def _diag_spectral(text: str) -> SpectralData:
@@ -317,8 +294,7 @@ def _diag_spectral(text: str) -> SpectralData:
     return SpectralData(dim=dim, eigen=tuple(eigen))
 
 
-def cmd_obs(args) -> int:
-    ws = _load_workspace(args)
+def cmd_obs(args, ws: Workspace) -> tuple:
     if (args.diag is None) == (args.file is None):
         raise UsageError("specify exactly one of --diag or --file")
     if args.diag is not None:
@@ -326,17 +302,12 @@ def cmd_obs(args) -> int:
     else:
         sd = _read_document(args.file, "spectral", spectral_from_json)
     ws.observables[args.name] = sd
-    _save_workspace(ws, args)
     eigenvals = [str(v) for v in sd.eigenvalues()]
-    if args.json:
-        print(_dumps({"name": args.name, "dim": sd.dim, "eigenvalues": eigenvals}))
-    else:
-        print(f"observable {args.name}: dim {sd.dim}, eigenvalues {', '.join(eigenvals)}")
-    return EXIT_OK
+    return (EXIT_OK, {"name": args.name, "dim": sd.dim, "eigenvalues": eigenvals},
+            [f"observable {args.name}: dim {sd.dim}, eigenvalues {', '.join(eigenvals)}"])
 
 
-def cmd_state(args) -> int:
-    ws = _load_workspace(args)
+def cmd_state(args, ws: Workspace) -> tuple:
     if (args.vector is None) == (args.file is None):
         raise UsageError("specify exactly one of --vector or --file")
     if args.vector is not None:
@@ -348,17 +319,12 @@ def cmd_state(args) -> int:
     else:
         st = _read_document(args.file, "state", StateVector.from_json)
     ws.states[args.name] = st
-    _save_workspace(ws, args)
     mode = "exact" if st.exact else "decimal"
-    if args.json:
-        print(_dumps({"name": args.name, "dim": st.dim, "kind": mode}))
-    else:
-        print(f"state {args.name}: dim {st.dim}, {mode}")
-    return EXIT_OK
+    return (EXIT_OK, {"name": args.name, "dim": st.dim, "kind": mode},
+            [f"state {args.name}: dim {st.dim}, {mode}"])
 
 
-def cmd_enumerate(args) -> int:
-    ws = _load_workspace(args)
+def cmd_enumerate(args, ws: Workspace) -> tuple:
     lattice = ws.lattice(args.lattice)
     values = None
     if args.values_from:
@@ -375,18 +341,13 @@ def cmd_enumerate(args) -> int:
                 values.append(p.complement())
     frag = enumerate_fragment(lattice, args.max_rank, values=values, limit=args.limit)
     ws.fragments[args.name] = (args.lattice, frag)
-    _save_workspace(ws, args)
     by_rank = {str(r): len(frag.by_rank(r)) for r in range(1, frag.max_rank() + 1)}
-    if args.json:
-        print(_dumps({"name": args.name, "members": len(frag), "by_rank": by_rank}))
-    else:
-        per = ", ".join(f"rank {r}: {c}" for r, c in by_rank.items())
-        print(f"fragment {args.name}: {len(frag)} members ({per})")
-    return EXIT_OK
+    per = ", ".join(f"rank {r}: {c}" for r, c in by_rank.items())
+    return (EXIT_OK, {"name": args.name, "members": len(frag), "by_rank": by_rank},
+            [f"fragment {args.name}: {len(frag)} members ({per})"])
 
 
-def cmd_eval(args) -> int:
-    ws = _load_workspace(args)
+def cmd_eval(args, ws: Workspace) -> tuple:
     formula = parse(args.formula)
 
     names = sorted(free_variables(formula))
@@ -420,26 +381,15 @@ def cmd_eval(args) -> int:
         "repr": lattice.element_repr(value),
         "notes": list(env.notes),
     }
+    text = [doc["repr"]] + [f"note: {note}" for note in env.notes]
     if trace is not None:
         doc["trace"] = trace
-    if args.json:
-        print(_dumps(doc))
-        return EXIT_OK
-    print(lattice.element_repr(value))
-    for note in env.notes:
-        print(f"note: {note}")
-    if trace is not None:
-        for step in trace:
-            print(f"  {step['rule']:<6} {step['formula']}  =>  {step['result']}")
-    return EXIT_OK
+        text += [f"  {step['rule']:<6} {step['formula']}  =>  {step['result']}"
+                 for step in trace]
+    return EXIT_OK, doc, text
 
 
-def _report_out(args, doc: dict) -> None:
-    if getattr(args, "out", None):
-        _write_atomic(args.out, _dumps(doc) + "\n")
-
-
-def _check_laws(args, ws: Workspace) -> int:
+def _check_laws(args, ws: Workspace) -> tuple:
     if args.random < 0:
         raise ValueError(f"--random must be at least 0, got {args.random}")
     lattice = ws.lattice(args.lattice)
@@ -450,45 +400,34 @@ def _check_laws(args, ws: Workspace) -> int:
         sample = [lattice.bottom(), lattice.top()]
         sample += [random_projection(rng, lattice.dim) for _ in range(args.random)]
     report = verify_laws(lattice, sample=sample, max_triples=args.triples)
-    doc = report.to_json(lattice)
-    _report_out(args, doc)
-    if args.json:
-        print(_dumps(doc))
-    else:
-        print(report.render())
+    text = [report.render()]
     failed = not report.ortholattice_ok() or not report.orthomodular
     if isinstance(lattice, BooleanLattice) and not report.distributive:
         failed = True
     if isinstance(lattice, ProjectionLattice) and lattice.dim >= 2:
         if report.distributive or report.distributivity_witness is None:
             failed = True  # the violation is expected; missing it is a failure
-        elif not args.json:
-            print("distributivity violation found, as expected for projections")
-    return EXIT_CHECK if failed else EXIT_OK
+        else:
+            text.append("distributivity violation found, as expected for projections")
+    return (EXIT_CHECK if failed else EXIT_OK), report.to_json(lattice), text
 
 
-def _check_scott_solovay(args, ws: Workspace) -> int:
+def _check_scott_solovay(args, ws: Workspace) -> tuple:
     fragment = ws.fragment(args.fragment)
     rep = vf.scott_solovay_suite(fragment, cross_check=args.cross_check,
                                  rng=random.Random(args.seed))
-    doc = rep.to_json()
-    _report_out(args, doc)
-    print(_dumps(doc) if args.json else rep.render())
-    return EXIT_OK if rep.passed() else EXIT_CHECK
+    return (EXIT_OK if rep.passed() else EXIT_CHECK), rep.to_json(), [rep.render()]
 
 
-def _check_transfer(args, ws: Workspace) -> int:
+def _check_transfer(args, ws: Workspace) -> tuple:
     fragment = ws.fragment(args.fragment)
     rep = vf.transfer_suite(fragment.members, fragment.lattice,
                             rng=random.Random(args.seed),
                             max_tuples_per_schema=args.sample)
-    doc = rep.to_json()
-    _report_out(args, doc)
-    print(_dumps(doc) if args.json else rep.render())
-    return EXIT_OK if rep.passed() else EXIT_CHECK
+    return (EXIT_OK if rep.passed() else EXIT_CHECK), rep.to_json(), [rep.render()]
 
 
-def _check_equality_axiom(args, ws: Workspace) -> int:
+def _check_equality_axiom(args, ws: Workspace) -> tuple:
     if args.demo:
         lattice = ProjectionLattice(2)
         from .exactnum import gq
@@ -497,8 +436,6 @@ def _check_equality_axiom(args, ws: Workspace) -> int:
         collection = vf.violation_demo_collection(lattice, p, q)
     elif args.sets:
         collection = [ws.qset(name.strip()) for name in args.sets.split(",")]
-        if not collection:
-            raise UsageError("--sets needs at least one set name")
         lattice = collection[0].lattice
     else:
         if not args.fragment:
@@ -506,28 +443,21 @@ def _check_equality_axiom(args, ws: Workspace) -> int:
         collection = ws.fragment(args.fragment)
         lattice = collection.lattice
     witness = vf.find_equality_axiom_violation(collection)
-    boolean = isinstance(lattice, BooleanLattice)
     doc = {
         "suite": "equality-axiom",
         "lattice": lattice.describe(),
         "witness": witness.to_json() if witness else None,
     }
-    _report_out(args, doc)
-    if args.json:
-        print(_dumps(doc))
-    elif witness is None:
-        print("no equality-axiom violation: equal sets are intersubstitutable here")
-    else:
-        print("equality-axiom violation witness:")
-        print(f"  {witness.describe()}")
-        print(f"  {_dumps(witness.to_json())}")
-    if boolean and witness is not None:
-        return EXIT_CHECK  # must never happen over a Boolean lattice
-    return EXIT_OK
+    if witness is None:
+        return EXIT_OK, doc, [
+            "no equality-axiom violation: equal sets are intersubstitutable here"]
+    text = ["equality-axiom violation witness:", f"  {witness.describe()}",
+            f"  {_dumps(doc['witness'])}"]
+    # a violation must never happen over a Boolean lattice
+    return (EXIT_CHECK if isinstance(lattice, BooleanLattice) else EXIT_OK), doc, text
 
 
-def cmd_check(args) -> int:
-    ws = _load_workspace(args)
+def cmd_check(args, ws: Workspace) -> tuple:
     if args.suite == "laws":
         if not args.lattice:
             raise UsageError("check laws needs --lattice")
@@ -541,8 +471,7 @@ def cmd_check(args) -> int:
     return _check_transfer(args, ws)
 
 
-def cmd_prob(args) -> int:
-    ws = _load_workspace(args)
+def cmd_prob(args, ws: Workspace) -> tuple:
     state = ws.state(args.state)
     if "=" not in args.spec:
         raise UsageError("probability spec must look like A=B or A=value")
@@ -567,22 +496,19 @@ def cmd_prob(args) -> int:
         "kind": tag,
         "model_dependent": result.model_dependent,
     }
+    text = [f"{result.render()}  ({tag})"]
     if args.show_projection and result.element is not None:
         doc["projection"] = projection_to_json(result.element)
-    if args.json:
-        print(_dumps(doc))
-        return EXIT_OK
-    print(f"{result.render()}  ({tag})")
-    if args.show_projection and result.element is not None:
-        print(f"projection: {_dumps(projection_to_json(result.element))}")
-    return EXIT_OK
+        text.append(f"projection: {_dumps(doc['projection'])}")
+    return EXIT_OK, doc, text
 
 
 # --------------------------------------------------------------- parser
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--session", help="session JSON file to load and save")
+    common.add_argument("--session",
+                        help="session JSON file to load; define commands save it")
     common.add_argument("--json", action="store_true", help="emit JSON output")
 
     parser = argparse.ArgumentParser(
@@ -594,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name")
     p.add_argument("--boolean", type=int, metavar="ATOMS")
     p.add_argument("--projection", type=int, metavar="DIM")
-    p.set_defaults(func=cmd_lattice)
+    p.set_defaults(func=cmd_lattice, saves=True)
 
     p = sub.add_parser("set", parents=[common], help="define a lattice-valued set")
     p.add_argument("name")
@@ -604,13 +530,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--empty", action="store_true", help="the empty set")
     p.add_argument("--check", type=int, metavar="N",
                    help="canonical copy of the numeral N")
-    p.set_defaults(func=cmd_set)
+    p.set_defaults(func=cmd_set, saves=True)
 
     p = sub.add_parser("obs", parents=[common], help="define an observable")
     p.add_argument("name")
     p.add_argument("--diag", help="comma-separated rational eigenvalues")
     p.add_argument("--file", help="spectral-data JSON file")
-    p.set_defaults(func=cmd_obs)
+    p.set_defaults(func=cmd_obs, saves=True)
 
     p = sub.add_parser("state", parents=[common], help="define a state vector")
     p.add_argument("name")
@@ -618,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--decimal", action="store_true",
                    help="parse entries as decimal complex numbers")
     p.add_argument("--file", help="state JSON file")
-    p.set_defaults(func=cmd_state)
+    p.set_defaults(func=cmd_state, saves=True)
 
     p = sub.add_parser("enumerate", parents=[common],
                        help="enumerate a universe fragment")
@@ -628,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values-from",
                    help="comma-separated observables supplying projection values")
     p.add_argument("--limit", type=int, default=5000)
-    p.set_defaults(func=cmd_enumerate)
+    p.set_defaults(func=cmd_enumerate, saves=True)
 
     p = sub.add_parser("eval", parents=[common], help="evaluate a formula")
     p.add_argument("formula")
@@ -670,10 +596,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command: load the session (a missing file is an empty
+    workspace), save it after a define command, write `check --out`, and
+    only then print the JSON document or the text."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        ws = Workspace()
+        if args.session:
+            try:
+                ws = Workspace.load(args.session)
+            except FileNotFoundError:
+                pass
+        code, doc, text = args.func(args, ws)
+        if args.session and getattr(args, "saves", False):
+            ws.save(args.session)
+        if getattr(args, "out", None):
+            _write_atomic(args.out, _dumps(doc) + "\n")
+        print(_dumps(doc) if args.json else "\n".join(text))
+        return code
     except (UsageError, FormulaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -118,8 +118,6 @@ class Exists:
     body: object
 
 
-CORE_NODES = (Eq, In, Not, And, ForallIn, Forall)
-
 # The JSON name of each node kind. A node's JSON keys are its dataclass
 # fields: the name fields hold strings, every other field a child node.
 _NODE_NAMES = {Var: "var", Eq: "eq", In: "in", Not: "not", And: "and", Or: "or",
@@ -396,10 +394,6 @@ def desugar(node, trace: Optional[list] = None):
     raise FormulaError(f"cannot desugar {type(node).__name__}")
 
 
-def is_core(node) -> bool:
-    return isinstance(node, (Var, *CORE_NODES)) and all(is_core(c) for c in children(node))
-
-
 def free_variables(node, bound=frozenset()) -> set:
     if isinstance(node, Var):
         return set() if node.name in bound else {node.name}
@@ -446,13 +440,7 @@ class Environment:
 def eval_formula(formula, env: Environment, trace: Optional[list] = None):
     """Truth value of a closed formula under the environment."""
     core = desugar(formula, trace)
-    return eval_core(core, free_variables(core), env, trace)
-
-
-def eval_core(core, free: AbstractSet[str], env: Environment, trace: Optional[list] = None):
-    """eval_formula on an already desugared formula with free variables
-    `free`, for callers that evaluate one formula many times."""
-    return compile_core(core, free, env, trace)(env.bindings)
+    return compile_core(core, free_variables(core), env, trace)(env.bindings)
 
 
 def compile_core(core, free: AbstractSet[str], env: Environment,

@@ -435,9 +435,10 @@ def transfer_suite(members: Sequence[QSet], lattice: Lattice,
     """Transfer inequality [[phi(args)]] >= commutator(args) for every
     catalog theorem over all argument tuples from the member list.
 
-    The members are checked once, before any tuple; the session compiles
-    each schema once; each distinct argument set's commutator is taken
-    once. A cap on the tuples per schema must be at least 1."""
+    The members are checked before any tuple (each tuple's TheoremInstance
+    checks its arguments again); the session compiles each schema once; each
+    distinct argument set's commutator is taken once. A cap on the tuples
+    per schema must be at least 1."""
     if max_tuples_per_schema is not None and max_tuples_per_schema < 1:
         raise ValueError(
             f"max_tuples_per_schema must be at least 1, got {max_tuples_per_schema}")

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from lvset.formula import (MAX_DEPTH, And, Environment, Eq, Exists, ExistsIn,
                            Forall, ForallIn, FormulaError, Implies, In, Not,
-                           Or, Var, desugar, eval_core, eval_formula,
+                           Or, Var, children, compile_core, desugar, eval_formula,
                            formula_from_json, formula_to_json, free_variables,
-                           is_core, parse, parse_formula_lines, to_text)
+                           parse, parse_formula_lines, to_text)
 from lvset.exactnum import gq
 from lvset.generators import random_qset_pool
 from lvset.lattice import BooleanLattice, ProjectionLattice
@@ -87,6 +87,12 @@ def test_parse_formula_lines():
     with pytest.raises(FormulaError) as err:
         parse_formula_lines("x = y\nbogus & &\n")
     assert "line 2" in str(err.value)
+
+
+def is_core(node) -> bool:
+    """Whether a formula uses only variables and the six core node kinds."""
+    return (isinstance(node, (Var, Eq, In, Not, And, ForallIn, Forall))
+            and all(is_core(c) for c in children(node)))
 
 
 def test_desugar_forms():
@@ -452,11 +458,11 @@ def test_compiled_evaluation_matches_the_tree_walk(core, kind, seed, picks):
 
     env = Environment(lat, bindings, fragment=fragment)
     trace = []
-    assert eval_core(core, free, env, trace) == expected
+    assert compile_core(core, free, env, trace)(env.bindings) == expected
     assert trace == expected_trace
     assert env.notes == expected_env.notes
     # without a trace the same closures run, and the session memo is shared
-    assert eval_core(core, free, env) == expected
+    assert compile_core(core, free, env)(env.bindings) == expected
 
 
 def test_compiled_evaluation_keeps_the_error_order():
