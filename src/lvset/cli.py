@@ -76,7 +76,8 @@ def _write_atomic(path: str, text: str) -> None:
 
     The text goes to a temporary file in the same directory, which is
     flushed to disk and renamed over the target, so a failure at any point
-    leaves the old file whole.
+    leaves the old file whole. A failure is reported as an OSError that
+    names the target, not the temporary file.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
@@ -85,6 +86,8 @@ def _write_atomic(path: str, text: str) -> None:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from None
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -477,9 +480,8 @@ def cmd_prob(args, ws: Workspace) -> tuple:
         raise UsageError("probability spec must look like A=B or A=value")
     left, right = (part.strip() for part in args.spec.split("=", 1))
     a = ws.observable(left)
-    extra = [Fraction(p) for p in args.extra_grid.split(",")] if args.extra_grid else ()
     if right in ws.observables:
-        result = prob_equal(a, ws.observable(right), state, extra_grid=extra)
+        result = prob_equal(a, ws.observable(right), state)
     else:
         try:
             value = Fraction(right)
@@ -588,7 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Born-rule probability of A=B or A=value")
     p.add_argument("spec")
     p.add_argument("--state", required=True)
-    p.add_argument("--extra-grid", help="extra rational grid points")
     p.add_argument("--show-projection", action="store_true")
     p.set_defaults(func=cmd_prob)
 

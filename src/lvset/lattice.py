@@ -280,7 +280,15 @@ class ProjectionLattice(Lattice):
             return value
 
     def leq(self, a: Projection, b: Projection) -> bool:
-        return self._memoized("leq", _projection_leq, a, b)
+        """a ≤ b. a ≤ a, 0 ≤ b and a ≤ 1 hold, and then 1 ≤ b and a ≤ 0
+        fail, by the lattice laws; only the other pairs take an exact
+        product."""
+        pj.check_dims(a, b)
+        if a == b or a == self._bottom or b == self._top:
+            return True
+        if a == self._top or b == self._bottom:
+            return False
+        return self._memoized("leq", Projection.leq, a, b)
 
     def commutes(self, a: Projection, b: Projection) -> bool:
         return a.commutes_with(b)
@@ -333,18 +341,6 @@ class ProjectionLattice(Lattice):
 
     def element_from_json(self, doc) -> Projection:
         return self.check_element(pj.projection_from_json(doc))
-
-
-def _projection_leq(a: Projection, b: Projection) -> bool:
-    """a ≤ b. a ≤ a, 0 ≤ b and a ≤ 1 hold, and then 1 ≤ b and a ≤ 0 fail,
-    by the lattice laws; only the other pairs take an exact product."""
-    pj.check_dims(a, b)
-    zero, one = pj.zero_projection(a.dim), pj.identity_projection(a.dim)
-    if a == b or a == zero or b == one:
-        return True
-    if a == one or b == zero:
-        return False
-    return a.leq(b)
 
 
 def lattice_from_json(doc: dict) -> Lattice:

@@ -180,7 +180,9 @@ def commutator_pair_closed_form(p: Projection, q: Projection) -> Projection:
 @dataclass(frozen=True)
 class SpectralData:
     """A finite spectral decomposition: distinct rational eigenvalues with
-    pairwise-orthogonal eigenprojections summing to the identity."""
+    eigenprojections that sum to the identity. That sum is the whole
+    check: for v = P_i v, ‖v‖² = Σ_j ‖P_j v‖² forces P_j v = 0 for j ≠ i,
+    so projections that resolve the identity are pairwise orthogonal."""
 
     dim: int
     eigen: tuple  # ((Fraction eigenvalue, Projection), ...) sorted by eigenvalue
@@ -199,15 +201,11 @@ class SpectralData:
                 raise LatticeError("eigenprojection dimension mismatch")
             if p == zero_projection(self.dim):
                 raise LatticeError("zero eigenprojection not allowed")
-        for i, p in enumerate(projs):
-            for q in projs[i + 1:]:
-                if not xm.product_equals(p.matrix, q.matrix, xm.zeros(self.dim, self.dim)):
-                    raise LatticeError("eigenprojections must be pairwise orthogonal")
         total = xm.zeros(self.dim, self.dim)
         for p in projs:
             total = xm.mat_add(total, p.matrix)
         if total != identity_projection(self.dim).matrix:
-            raise LatticeError("eigenprojections must sum to the identity")
+            raise LatticeError("eigenprojections must be pairwise orthogonal and sum to the identity")
 
     def eigenvalues(self) -> list:
         return [v for v, _ in self.eigen]

@@ -14,9 +14,11 @@ E_a(r)ψ = E_b(r)ψ at every r, computed as one kernel by the lattice's
 correlated (Ozawa, Ann. Phys. 321, 2006), commuting or not, so the
 element has that oracle in every case. Outputs for noncommuting
 observables are flagged model-dependent only because a Born value below
-1 then has no joint-distribution reading. The order truth value reads
-cut containment: [[a <= b]] = big_meet over r of (E_b(r) → E_a(r)), fixed
-by the scalar case c·I vs d·I.
+1 then has no joint-distribution reading. `prob_equal` reads each real
+on its own spectrum: a further grid point would only repeat a cut pair or
+add a pair of equal cuts, which `agreement` drops. The order truth value
+reads cut containment: [[a <= b]] = big_meet over r of (E_b(r) → E_a(r)),
+fixed by the scalar case c·I vs d·I.
 """
 
 from __future__ import annotations
@@ -85,13 +87,9 @@ class QReal:
 
 
 def qreal_from_spectral(sd: SpectralData, grid: Sequence) -> QReal:
-    """E(r) = sum of eigenprojections with eigenvalue <= r."""
-    return _qreal_on(ProjectionLattice(sd.dim), sd, grid)
-
-
-def _qreal_on(lattice: ProjectionLattice, sd: SpectralData, grid: Sequence) -> QReal:
-    """qreal_from_spectral with cuts on the given lattice. Each partial sum
-    of eigenprojections is built once for all the grid points it covers."""
+    """E(r) = sum of eigenprojections with eigenvalue <= r. Each partial sum
+    is built once for all the grid points it covers."""
+    lattice = ProjectionLattice(sd.dim)
     points = sorted({Fraction(g) for g in grid})
     spectrum = sd.eigenvalues()
     for ev in spectrum:
@@ -232,16 +230,13 @@ class ProbabilityResult:
         return text
 
 
-def prob_equal(a: SpectralData, b: SpectralData, state: StateVector,
-               extra_grid: Iterable = ()) -> ProbabilityResult:
-    """Pr{a = b ‖ ψ} = ‖ [[a = b]] ψ ‖²."""
+def prob_equal(a: SpectralData, b: SpectralData, state: StateVector) -> ProbabilityResult:
+    """Pr{a = b ‖ ψ} = ‖ [[a = b]] ψ ‖², each real read on its own spectrum:
+    `truth_eq` merges the two grids."""
     if a.dim != b.dim:
         raise LatticeError("spectral data dimensions differ")
-    grid = sorted(set(a.eigenvalues()) | set(b.eigenvalues()) | {Fraction(g) for g in extra_grid})
-    lattice = ProjectionLattice(a.dim)  # one memo for both
-    qa = _qreal_on(lattice, a, grid)
-    qb = _qreal_on(lattice, b, grid)
-    element = truth_eq(qa, qb)
+    element = truth_eq(qreal_from_spectral(a, a.eigenvalues()),
+                       qreal_from_spectral(b, b.eigenvalues()))
     return ProbabilityResult(
         value=born_probability(element, state),
         exact=state.exact,

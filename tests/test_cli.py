@@ -619,6 +619,46 @@ def test_writes_are_atomic(tmp_path, capsys, monkeypatch, failing):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "session.json"]
 
 
+def test_writes_into_a_missing_directory_name_the_target(tmp_path, capsys):
+    # the one error line names the file asked for, never the temporary file
+    # beside it, and nothing is left behind
+    target = str(tmp_path / "nodir" / "s.json")
+    code, out, err = run(capsys, "lattice", "B", "--boolean", "1", "--session", target)
+    assert code == 4 and out == ""
+    line = _one_line_error(err)
+    assert target in line and ".tmp" not in line
+    session = str(tmp_path / "session.json")
+    run(capsys, "lattice", "B", "--boolean", "1", "--session", session)
+    report = str(tmp_path / "nodir" / "report.json")
+    code, out, err = run(capsys, "check", "laws", "--lattice", "B", "--out", report,
+                         "--session", session)
+    assert code == 4 and out == ""
+    line = _one_line_error(err)
+    assert report in line and ".tmp" not in line
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["session.json"]
+
+
+def test_obs_file_refuses_non_orthogonal_eigenprojections(tmp_path, session, capsys):
+    # the lines e1 and e1+e2 in dim 2 do not resolve the identity
+    path = tmp_path / "skew.json"
+    path.write_text(json.dumps({"dim": 2, "eigen": [
+        {"value": "0", "proj": [["1", "0"], ["0", "0"]]},
+        {"value": "1", "proj": [["1/2", "1/2"], ["1/2", "1/2"]]}]}))
+    code, out, err = run(capsys, "obs", "S", "--file", str(path), "--session", session)
+    assert code == 4 and out == ""
+    assert "must be pairwise orthogonal and sum to the identity" in _one_line_error(err)
+
+
+def test_prob_has_no_grid_option(session, capsys):
+    run(capsys, "lattice", "P", "--projection", "2", "--session", session)
+    run(capsys, "obs", "A", "--diag", "1,2", "--session", session)
+    run(capsys, "state", "psi", "--vector", "1,1", "--session", session)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["prob", "A=A", "--state", "psi", "--extra-grid", "5",
+                  "--session", session])
+    assert exc.value.code == 2
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ)

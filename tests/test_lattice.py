@@ -328,6 +328,7 @@ def test_projection_lattice_leq_answers_trivial_pairs_by_law(monkeypatch):
         assert calls
         for a, b in calls:
             assert a != b and zero not in (a, b) and one not in (a, b)
+        assert {key[1:] for key in lat._memo} == set(calls)  # only products are memoized
         calls.clear()
     lat = ProjectionLattice(2)
     for a, b in ((zero_projection(2), identity_projection(3)),

@@ -404,6 +404,16 @@ def test_spectral_data_validation_and_reconstruction():
         SpectralData(dim=2, eigen=((Fraction(1), proj_from_span([(gq(1), gq(0))], 2)),))
 
 
+def test_spectral_data_refuses_non_orthogonal_eigenprojections():
+    # the lines e1 and e1+e2 do not sum to I; projections that do are
+    # pairwise orthogonal, so that one check names both conditions
+    e1 = proj_from_span([(gq(1), gq(0))], 2)
+    diagonal = proj_from_span([(gq(1), gq(1))], 2)
+    with pytest.raises(LatticeError, match="must be pairwise orthogonal and sum to the identity"):
+        SpectralData(dim=2, eigen=((Fraction(0), e1), (Fraction(1), diagonal)))
+    SpectralData(dim=2, eigen=((Fraction(0), e1), (Fraction(1), e1.complement())))
+
+
 @pytest.mark.parametrize("dim", [-1, 0, "2"])
 def test_spectral_data_needs_dimension_one_or_more(dim):
     # an empty eigen list sums to the empty identity, so only this check stops it

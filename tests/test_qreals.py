@@ -124,6 +124,41 @@ def test_prob_equal_builds_each_projection_once(monkeypatch):
     assert result.value == Fraction(1, 6) and result.model_dependent
 
 
+def test_prob_equal_element_is_truth_eq_on_any_grids_holding_the_spectra():
+    # each real read on its own spectrum gives the very object that truth_eq
+    # gives on larger grids: a further point only repeats a cut pair or adds
+    # a pair of equal cuts, so no grid option could change the element
+    rng = random.Random(98)
+    values = [Fraction(v) for v in range(-2, 3)]  # few, so the spectra overlap
+
+    def points(k):
+        return [Fraction(rng.randint(-12, 12), rng.randint(1, 3)) for _ in range(k)]
+
+    noncommuting = commuting = between = 0
+    for dim in (2, 3, 4):
+        for k in range(24):
+            if k % 3 == 0:  # a's eigenprojections under other values: they commute
+                a = _observable(rng, dim, rng.sample(values, rng.randint(1, dim)))
+                b = SpectralData(dim=dim, eigen=tuple(
+                    (v, p) for (_, p), v in zip(a.eigen, rng.sample(values, len(a.eigen)))))
+            elif k % 3 == 1 or dim == 2:  # two or more eigenvalues each: rarely commuting
+                a, b = (_observable(rng, dim, rng.sample(values, rng.randint(2, dim)))
+                        for _ in range(2))
+            else:
+                a, b = _sharing_pair(rng, dim)
+            element = prob_equal(a, b, StateVector(random_state_vector(rng, dim))).element
+            for _ in range(3):
+                qa = qreal_from_spectral(a, a.eigenvalues() + points(rng.randint(0, 3)))
+                qb = qreal_from_spectral(b, b.eigenvalues() + points(rng.randint(0, 3)))
+                qa, qb = qa.refined(points(rng.randint(0, 3))), qb.refined(points(rng.randint(0, 3)))
+                assert truth_eq(qa, qb) is element
+                assert truth_eq(qb, qa) is element
+            commuting += spectral_commutes(a, b)
+            noncommuting += not spectral_commutes(a, b)
+            between += element is not zero_projection(dim) and element is not identity_projection(dim)
+    assert commuting >= 20 and noncommuting >= 30 and between >= 20
+
+
 def test_spectral_cuts_commute_pairwise():
     # QReal does not test commutation itself: its monotone cuts commute
     rng = random.Random(11)
